@@ -14,7 +14,10 @@ BUILD_DIR="${1:-${REPO_ROOT}/build}"
 echo "== tier-1: build + ctest =="
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+# Every test runs up to three times and must pass each time, so a test that
+# leaks state into a concurrent ctest process cannot pass by luck.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
+  --repeat until-fail:3
 
 echo "== bench smoke: planning latency (inference sessions) =="
 # Tiny scale: asserts internally that session-on/off estimates and results

@@ -551,17 +551,8 @@ uint64_t ByteCard::SnapshotVersion() const {
 double ByteCard::Estimate(const cardest::CardEstRequest& request,
                           cardest::InferenceSession* session) {
   std::shared_ptr<const EstimatorSnapshot> snap = snapshot_.Acquire();
-  if (snap == nullptr) {
-    return request.target == cardest::CardEstTarget::kDisjunction ? 0.0 : 1.0;
-  }
+  if (snap == nullptr) return cardest::NeutralEstimate(request.target);
   return snap->Estimate(request, session);
-}
-
-double ByteCard::EstimateCountDisjunction(
-    const minihouse::Table& table,
-    const std::vector<minihouse::Conjunction>& disjuncts) {
-  return Estimate(cardest::CardEstRequest::Disjunction(table, disjuncts),
-                  nullptr);
 }
 
 const cardest::BnInferenceContext* ByteCard::bn_context(
@@ -582,31 +573,6 @@ const RbxNdvEngine& ByteCard::rbx_engine() const {
   BC_CHECK(snap != nullptr && snap->rbx_engine() != nullptr)
       << "no RBX model published";
   return *snap->rbx_engine();
-}
-
-double ByteCard::EstimateSelectivity(const minihouse::Table& table,
-                                     const minihouse::Conjunction& filters) {
-  return Estimate(cardest::CardEstRequest::Selectivity(table, filters),
-                  nullptr);
-}
-
-double ByteCard::EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                         const std::vector<int>& subset) {
-  return Estimate(cardest::CardEstRequest::JoinCount(query, subset), nullptr);
-}
-
-double ByteCard::EstimateCount(const minihouse::BoundQuery& query) {
-  return Estimate(cardest::CardEstRequest::Count(query), nullptr);
-}
-
-double ByteCard::EstimateColumnNdv(const minihouse::Table& table, int column,
-                                   const minihouse::Conjunction& filters) {
-  return Estimate(cardest::CardEstRequest::ColumnNdv(table, column, filters),
-                  nullptr);
-}
-
-double ByteCard::EstimateGroupNdv(const minihouse::BoundQuery& query) {
-  return Estimate(cardest::CardEstRequest::GroupNdv(query), nullptr);
 }
 
 }  // namespace bytecard

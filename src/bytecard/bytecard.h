@@ -98,16 +98,14 @@ class ByteCard : public minihouse::CardinalityEstimator {
 
   // --- CardinalityEstimator ------------------------------------------------
   std::string Name() const override { return "bytecard"; }
-  // Canonical entry point: acquires the current snapshot and dispatches the
-  // request through it. (Per-query work should pin once via PinSnapshot /
+  // The one estimation entry point: acquires the current snapshot and
+  // dispatches the request through it. The inherited typed shapes
+  // (EstimateCount, EstimateColumnNdv via RBX, EstimateCountDisjunction via
+  // inclusion-exclusion, ...) all land here, so each is answered by one
+  // snapshot. (Per-query work should pin once via PinSnapshot /
   // EstimationContext instead of paying an acquire per call.)
   double Estimate(const cardest::CardEstRequest& request,
                   cardest::InferenceSession* session) override;
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
 
   // Pins the current snapshot and returns a per-query view over it: every
   // estimate through the view is answered by one model version, regardless
@@ -252,23 +250,6 @@ class ByteCard : public minihouse::CardinalityEstimator {
 
   // Null before StartServing / after StopServing.
   minihouse::QueryScheduler* scheduler() { return scheduler_.get(); }
-
-  // OR-query estimation (paper §5.1.2): COUNT of the union of single-table
-  // filter conjunctions via the inclusion-exclusion principle. Disjuncts
-  // must all reference `table`; the whole disjunction is answered by one
-  // pinned snapshot.
-  double EstimateCountDisjunction(
-      const minihouse::Table& table,
-      const std::vector<minihouse::Conjunction>& disjuncts);
-
-  // --- Direct estimation APIs ----------------------------------------------
-  // COUNT(*) of a whole (possibly multi-table) query.
-  double EstimateCount(const minihouse::BoundQuery& query);
-
-  // COUNT(DISTINCT column) on one table under filters, via the RBX
-  // sample-profile path (§5.2.1).
-  double EstimateColumnNdv(const minihouse::Table& table, int column,
-                           const minihouse::Conjunction& filters);
 
   // --- Introspection ---------------------------------------------------------
   // The currently-published snapshot (never null after Bootstrap).

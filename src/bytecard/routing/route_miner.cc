@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -134,11 +135,13 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
     ClassStats& stats = classes[op->route_class];
     for (const std::string& name : op->replay.tables) stats.tables.insert(name);
 
-    // The general router's answer to the same question, timed. Called
-    // routing-free (EstimateGeneral) so re-mining a snapshot whose routes
-    // are already live still scores against the true general baseline.
+    // The general router's answer to the same question, timed. Asked of
+    // the kGeneral family directly (routing-free) so re-mining a snapshot
+    // whose routes are already live still scores against the true general
+    // baseline.
     Stopwatch watch;
-    double general = snapshot.EstimateGeneral(request, nullptr, nullptr);
+    double general = *snapshot.EstimateWithFamily(RouteFamily::kGeneral,
+                                                  request, nullptr, nullptr);
     const double general_nanos = static_cast<double>(watch.ElapsedNanos());
     if (is_scan) general *= scan_rows;
     const double general_q = minihouse::FeedbackQError(general, op->actual);
@@ -148,16 +151,16 @@ Result<std::shared_ptr<const RoutingTable>> RouteMiner::Mine(
     for (size_t f = 0; f < kNumCandidates; ++f) {
       FamilyScore& score = stats.families[f];
       if (!score.applicable) continue;
-      double value = 0.0;
       watch.Restart();
-      if (!snapshot.EstimateWithFamily(kCandidates[f], request, nullptr,
-                                       nullptr, &value)) {
+      std::optional<double> value = snapshot.EstimateWithFamily(
+          kCandidates[f], request, nullptr, nullptr);
+      if (!value) {
         score.applicable = false;
         continue;
       }
       score.total_latency_nanos += static_cast<double>(watch.ElapsedNanos());
-      if (is_scan) value *= scan_rows;
-      score.qerrors.push_back(minihouse::FeedbackQError(value, op->actual));
+      if (is_scan) *value *= scan_rows;
+      score.qerrors.push_back(minihouse::FeedbackQError(*value, op->actual));
     }
 
     // Cached-actual family: a repeat of an already-observed fingerprint is

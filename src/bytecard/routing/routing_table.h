@@ -12,13 +12,14 @@
 
 namespace bytecard::routing {
 
-// The estimator families the adaptive router chooses between. Every family
-// except kGeneral is one concrete answer path inside EstimatorSnapshot;
-// kGeneral is the tiered BN → FactorJoin → fallback dispatch the snapshot
-// serves for unrouted classes, and kCachedActual marks classes whose traffic
-// is dominated by repeats the feedback cache answers upstream (at the
-// snapshot level it resolves like kGeneral — the cache intercepts in
-// EstimationContext before the snapshot is ever asked).
+// The estimator families the adaptive router chooses between: the rows of
+// EstimatorSnapshot's family table (EstimateWithFamily). kGeneral is the
+// default route — the tiered BN → FactorJoin → traditional answer the
+// snapshot serves for unrouted classes, and the only family that answers
+// every target. kCachedActual marks classes whose traffic is dominated by
+// repeats the feedback cache answers upstream (at the snapshot level it
+// resolves like kGeneral — the cache intercepts in EstimationContext before
+// the snapshot is ever asked).
 enum class RouteFamily : uint32_t {
   kGeneral = 0,
   kBn = 1,

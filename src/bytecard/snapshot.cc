@@ -1,12 +1,9 @@
 #include "bytecard/snapshot.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "cardest/route_class.h"
-#include "common/logging.h"
 #include "minihouse/predicate.h"
 #include "stats/ndv_classic.h"
 
@@ -45,222 +42,97 @@ double EstimatorSnapshot::Estimate(const cardest::CardEstRequest& request,
                                    cardest::InferenceSession* session,
                                    SnapshotCounters* counters) const {
   // Adaptive routing: resolve the request's route class against the mined
-  // table, then dispatch to the empirically-best family. With no live table
-  // (bootstrap, empty mine, stale epoch) this is one bool test and the
-  // general path below runs byte-identically to the pre-routing dispatch.
+  // table. With no live table (bootstrap, empty mine, stale epoch) this is
+  // one bool test and the general family answers.
+  routing::RouteFamily family = routing::RouteFamily::kGeneral;
   if (routing_live_) {
     const std::string cls = cardest::RouteClassOf(request, session);
     const routing::RouteDecision* route = routing_->Find(cls);
     if (route != nullptr) {
       if (counters != nullptr) counters->route_classes_seen.insert(cls);
-      if (route->family != routing::RouteFamily::kGeneral &&
-          route->family != routing::RouteFamily::kCachedActual) {
-        double routed = 0.0;
-        if (EstimateWithFamily(route->family, request, session, counters,
-                               &routed)) {
-          if (counters != nullptr) ++counters->routed_estimates;
-          return routed;
-        }
-        if (counters != nullptr) ++counters->route_fallbacks;
+      // kCachedActual routes are answered by the feedback cache upstream
+      // (EstimationContext), so on a cache miss the snapshot serves them
+      // generally — not a route fallback, the general family *is* their
+      // mined answer here.
+      if (route->family != routing::RouteFamily::kCachedActual) {
+        family = route->family;
       }
-      // kGeneral routes fall through by decision; kCachedActual routes are
-      // answered by the feedback cache upstream (EstimationContext), so the
-      // snapshot serves them generally on a cache miss. Neither counts as a
-      // route fallback — the general path *is* their mined answer here.
     }
   }
-  return EstimateGeneral(request, session, counters);
+  if (family != routing::RouteFamily::kGeneral) {
+    if (std::optional<double> routed =
+            EstimateWithFamily(family, request, session, counters)) {
+      if (counters != nullptr) ++counters->routed_estimates;
+      return *routed;
+    }
+    if (counters != nullptr) ++counters->route_fallbacks;
+  }
+  return *EstimateWithFamily(routing::RouteFamily::kGeneral, request, session,
+                             counters);
 }
 
-double EstimatorSnapshot::EstimateGeneral(
-    const cardest::CardEstRequest& request, cardest::InferenceSession* session,
-    SnapshotCounters* counters) const {
+std::optional<double> EstimatorSnapshot::EstimateWithFamily(
+    routing::RouteFamily family, const cardest::CardEstRequest& request,
+    cardest::InferenceSession* session, SnapshotCounters* counters) const {
   using cardest::CardEstTarget;
+  const bool general = family == routing::RouteFamily::kGeneral;
   switch (request.target) {
     case CardEstTarget::kSelectivity:
-      return SelectivityImpl(*request.table, *request.filters, session,
-                             counters);
+      return TableSelectivity(family, *request.table, *request.filters,
+                              session, counters);
     case CardEstTarget::kJoinCount: {
       // All-tables requests resolve through the session's cached iota when
       // one is given — no per-call allocation on the planning hot path.
       std::vector<int> scratch;
-      return JoinImpl(*request.query, request.ResolveTables(session, &scratch),
-                      session, counters);
-    }
-    case CardEstTarget::kGroupNdv:
-      return GroupNdvImpl(*request.query, session, counters);
-    case CardEstTarget::kColumnNdv:
-      return ColumnNdvImpl(*request.table, request.ndv_column,
-                           *request.filters, session, counters);
-    case CardEstTarget::kDisjunction:
-      return DisjunctionImpl(*request.table, *request.disjuncts, session,
-                             counters);
-  }
-  return 1.0;
-}
-
-double EstimatorSnapshot::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Selectivity(table, filters),
-                  nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& subset,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::JoinCount(query, subset), nullptr,
-                  counters);
-}
-
-double EstimatorSnapshot::EstimateCount(const minihouse::BoundQuery& query,
-                                        SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Count(query), nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateGroupNdv(const minihouse::BoundQuery& query,
-                                           SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::GroupNdv(query), nullptr,
-                  counters);
-}
-
-double EstimatorSnapshot::EstimateColumnNdv(
-    const minihouse::Table& table, int column,
-    const minihouse::Conjunction& filters, SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::ColumnNdv(table, column, filters),
-                  nullptr, counters);
-}
-
-double EstimatorSnapshot::EstimateCountDisjunction(
-    const minihouse::Table& table,
-    const std::vector<minihouse::Conjunction>& disjuncts,
-    SnapshotCounters* counters) const {
-  return Estimate(cardest::CardEstRequest::Disjunction(table, disjuncts),
-                  nullptr, counters);
-}
-
-bool EstimatorSnapshot::FamilySelectivity(routing::RouteFamily family,
-                                          const minihouse::Table& table,
-                                          const minihouse::Conjunction& filters,
-                                          cardest::InferenceSession* session,
-                                          double* out) const {
-  // Family-prefixed memo keys keep routed probes out of the general "sel:"
-  // memo: the same (table, filters) can be probed both ways in one query
-  // (e.g. a routed scan next to a general join prefix) and each must replay
-  // its own answer.
-  std::string key;
-  if (session != nullptr) {
-    key = "rt" + std::to_string(static_cast<int>(family)) + ":" +
-          cardest::TableKey(table, filters);
-    double value = 0.0;
-    bool was_fallback = false;
-    if (session->LookupScalar(key, &value, &was_fallback)) {
-      *out = value;
-      return true;
-    }
-  }
-  double value = 0.0;
-  switch (family) {
-    case routing::RouteFamily::kBn: {
-      const cardest::BnInferenceContext* context = bn_context(table.name());
-      if (context == nullptr || !IsHealthy(table.name())) return false;
-      value = context->EstimateSelectivity(filters);
-      break;
-    }
-    case routing::RouteFamily::kTraditional:
-      if (fallback_ == nullptr) return false;
-      value = fallback_->EstimateSelectivity(table, filters);
-      break;
-    case routing::RouteFamily::kSample: {
-      if (samples_ == nullptr) return false;
-      auto it = samples_->find(table.name());
-      if (it == samples_->end() || it->second.num_rows() == 0) return false;
-      value = static_cast<double>(it->second.CountMatches(filters)) /
-              static_cast<double>(it->second.num_rows());
-      break;
-    }
-    case routing::RouteFamily::kZoneMap:
-      value = minihouse::ZoneMapSelectivityBound(table, filters);
-      break;
-    default:
-      return false;
-  }
-  if (session != nullptr) session->StoreScalar(key, value, false);
-  *out = value;
-  return true;
-}
-
-bool EstimatorSnapshot::EstimateWithFamily(
-    routing::RouteFamily family, const cardest::CardEstRequest& request,
-    cardest::InferenceSession* session, SnapshotCounters* counters,
-    double* out) const {
-  using cardest::CardEstTarget;
-  switch (request.target) {
-    case CardEstTarget::kSelectivity:
-      return FamilySelectivity(family, *request.table, *request.filters,
-                               session, out);
-    case CardEstTarget::kJoinCount: {
-      std::vector<int> scratch;
       const std::vector<int>& subset = request.ResolveTables(session, &scratch);
-      if (subset.size() == 1) {
-        // Single-table "join" questions are selectivity questions; every
-        // selectivity-capable family answers them scaled to row counts.
-        const minihouse::BoundTableRef& ref = request.query->tables[subset[0]];
-        double sel = 0.0;
-        if (!FamilySelectivity(family, *ref.table, ref.filters, session,
-                               &sel)) {
-          return false;
-        }
-        *out = sel * static_cast<double>(ref.table->num_rows());
-        return true;
+      if (subset.size() != 1) {
+        return JoinCount(family, *request.query, subset, session, counters);
       }
-      switch (family) {
-        case routing::RouteFamily::kFactorJoin: {
-          if (fj_engine_ == nullptr) return false;
-          FeatureVector features;
-          features.query = request.query;
-          features.table_subset = subset;
-          features.session = session;
-          Result<double> estimate = fj_engine_->Estimate(features);
-          if (!estimate.ok()) return false;
-          *out = estimate.value();
-          return true;
-        }
-        case routing::RouteFamily::kTraditional:
-          if (fallback_ == nullptr) return false;
-          *out = fallback_->EstimateJoinCardinality(*request.query, subset);
-          return true;
-        default:
-          return false;
-      }
+      // Single-table "join" questions are selectivity questions; every
+      // selectivity-capable family answers them scaled to row counts.
+      const minihouse::BoundTableRef& ref = request.query->tables[subset[0]];
+      std::optional<double> sel =
+          TableSelectivity(family, *ref.table, ref.filters, session, counters);
+      if (!sel) return std::nullopt;
+      return *sel * static_cast<double>(ref.table->num_rows());
     }
     case CardEstTarget::kGroupNdv:
+      if (general) return GroupNdv(*request.query, session, counters);
       if (family != routing::RouteFamily::kTraditional ||
           fallback_ == nullptr) {
-        return false;
+        return std::nullopt;
       }
-      *out = fallback_->EstimateGroupNdv(*request.query);
-      return true;
+      return fallback_->GroupNdv(*request.query);
     case CardEstTarget::kColumnNdv:
+      // Only the general family's RBX / sketch machinery answers NDV.
+      if (!general) return std::nullopt;
+      return ColumnNdv(*request.table, request.ndv_column, *request.filters,
+                       session, counters);
     case CardEstTarget::kDisjunction:
-      // No alternate family implements these targets; the general path's
-      // RBX / inclusion-exclusion machinery is the only answer.
-      return false;
+      if (!general) return std::nullopt;
+      return cardest::DisjunctionCount(
+          *request.table, *request.disjuncts,
+          [&](const minihouse::Conjunction& conjunction) {
+            return *TableSelectivity(family, *request.table, conjunction,
+                                     session, counters);
+          });
   }
-  (void)counters;
-  return false;
+  return std::nullopt;
 }
 
-double EstimatorSnapshot::SelectivityImpl(const minihouse::Table& table,
-                                          const minihouse::Conjunction& filters,
-                                          cardest::InferenceSession* session,
-                                          SnapshotCounters* counters) const {
-  // Health-aware selectivity, memoized under "sel:". Cached entries replay
+std::optional<double> EstimatorSnapshot::TableSelectivity(
+    routing::RouteFamily family, const minihouse::Table& table,
+    const minihouse::Conjunction& filters, cardest::InferenceSession* session,
+    SnapshotCounters* counters) const {
+  // One memo entry per (family, table, filters): the same conjunction can be
+  // probed by two families in one query (a routed scan next to a general
+  // join prefix) and each must replay its own answer. Cached entries replay
   // their fallback accounting so SnapshotCounters stay identical with the
   // memo on or off.
   std::string key;
   if (session != nullptr) {
-    key = "sel:" + cardest::TableKey(table, filters);
+    key = std::to_string(static_cast<int>(family)) + ":" +
+          cardest::TableKey(table, filters);
     double value = 0.0;
     bool was_fallback = false;
     if (session->LookupScalar(key, &value, &was_fallback)) {
@@ -270,58 +142,93 @@ double EstimatorSnapshot::SelectivityImpl(const minihouse::Table& table,
   }
   double value = 1.0;
   bool was_fallback = false;
-  const cardest::BnInferenceContext* context = bn_context(table.name());
-  if (context != nullptr && IsHealthy(table.name())) {
-    value = context->EstimateSelectivity(filters);
-  } else {
-    was_fallback = true;
-    CountFallback(counters);
-    if (fallback_ != nullptr) {
-      value = fallback_->EstimateSelectivity(table, filters);
+  switch (family) {
+    case routing::RouteFamily::kGeneral:
+    case routing::RouteFamily::kBn: {
+      const cardest::BnInferenceContext* context = bn_context(table.name());
+      if (context != nullptr && IsHealthy(table.name())) {
+        value = context->EstimateSelectivity(filters);
+        break;
+      }
+      if (family == routing::RouteFamily::kBn) return std::nullopt;
+      // General: an unhealthy or missing BN falls back to the traditional
+      // estimator (the neutral 1 when there is none).
+      was_fallback = true;
+      CountFallback(counters);
+      if (fallback_ != nullptr) value = fallback_->Selectivity(table, filters);
+      break;
     }
+    case routing::RouteFamily::kTraditional:
+      if (fallback_ == nullptr) return std::nullopt;
+      value = fallback_->Selectivity(table, filters);
+      break;
+    case routing::RouteFamily::kSample: {
+      if (samples_ == nullptr) return std::nullopt;
+      auto it = samples_->find(table.name());
+      if (it == samples_->end() || it->second.num_rows() == 0) {
+        return std::nullopt;
+      }
+      value = static_cast<double>(it->second.CountMatches(filters)) /
+              static_cast<double>(it->second.num_rows());
+      break;
+    }
+    case routing::RouteFamily::kZoneMap:
+      value = minihouse::ZoneMapSelectivityBound(table, filters);
+      break;
+    default:
+      return std::nullopt;
   }
   if (session != nullptr) session->StoreScalar(key, value, was_fallback);
   return value;
 }
 
-double EstimatorSnapshot::JoinImpl(const minihouse::BoundQuery& query,
-                                   const std::vector<int>& subset,
-                                   cardest::InferenceSession* session,
-                                   SnapshotCounters* counters) const {
-  if (subset.size() == 1) {
-    const minihouse::BoundTableRef& ref = query.tables[subset[0]];
-    return SelectivityImpl(*ref.table, ref.filters, session, counters) *
-           static_cast<double>(ref.table->num_rows());
-  }
-  // Unhealthy single-table models poison join estimates too; fall back to
-  // the traditional estimator for the whole join in that case.
-  for (int t : subset) {
-    if (!IsHealthy(query.tables[t].table->name())) {
-      CountFallback(counters);
-      if (fallback_ != nullptr) {
-        return fallback_->EstimateJoinCardinality(query, subset);
+std::optional<double> EstimatorSnapshot::JoinCount(
+    routing::RouteFamily family, const minihouse::BoundQuery& query,
+    const std::vector<int>& subset, cardest::InferenceSession* session,
+    SnapshotCounters* counters) const {
+  switch (family) {
+    case routing::RouteFamily::kGeneral:
+      // Unhealthy single-table models poison join estimates too; fall back
+      // to the traditional estimator for the whole join in that case.
+      for (int t : subset) {
+        if (!IsHealthy(query.tables[t].table->name())) {
+          CountFallback(counters);
+          if (fallback_ != nullptr) {
+            return fallback_->JoinCardinality(query, subset);
+          }
+          break;
+        }
       }
-      break;
+      if (std::optional<double> fj = JoinCount(
+              routing::RouteFamily::kFactorJoin, query, subset, session,
+              counters)) {
+        return fj;
+      }
+      CountFallback(counters);
+      return fallback_ != nullptr ? fallback_->JoinCardinality(query, subset)
+                                  : 1.0;
+    case routing::RouteFamily::kFactorJoin: {
+      if (fj_engine_ == nullptr) return std::nullopt;
+      FeatureVector features;
+      features.query = &query;
+      features.table_subset = subset;
+      features.session = session;
+      Result<double> estimate = fj_engine_->Estimate(features);
+      if (!estimate.ok()) return std::nullopt;
+      return estimate.value();
     }
+    case routing::RouteFamily::kTraditional:
+      if (fallback_ == nullptr) return std::nullopt;
+      return fallback_->JoinCardinality(query, subset);
+    default:
+      return std::nullopt;
   }
-  if (fj_engine_ != nullptr) {
-    FeatureVector features;
-    features.query = &query;
-    features.table_subset = subset;
-    features.session = session;
-    Result<double> estimate = fj_engine_->Estimate(features);
-    if (estimate.ok()) return estimate.value();
-  }
-  CountFallback(counters);
-  return fallback_ != nullptr
-             ? fallback_->EstimateJoinCardinality(query, subset)
-             : 1.0;
 }
 
-double EstimatorSnapshot::ColumnNdvImpl(
-    const minihouse::Table& table, int column,
-    const minihouse::Conjunction& filters, cardest::InferenceSession* session,
-    SnapshotCounters* counters) const {
+double EstimatorSnapshot::ColumnNdv(const minihouse::Table& table, int column,
+                                    const minihouse::Conjunction& filters,
+                                    cardest::InferenceSession* session,
+                                    SnapshotCounters* counters) const {
   // Unfiltered NDV: the maintained HyperLogLog sketch is exact-current for
   // append-only data (merged per ingest batch, no full-scan refresh), so it
   // outranks the sample+RBX path — samples go stale between refreshes.
@@ -354,7 +261,8 @@ double EstimatorSnapshot::ColumnNdvImpl(
 
   // Population under the filters comes from the COUNT model.
   const double filtered_rows =
-      SelectivityImpl(table, filters, session, counters) *
+      *TableSelectivity(routing::RouteFamily::kGeneral, table, filters,
+                        session, counters) *
       static_cast<double>(table.num_rows());
   stats::SampleFrequencies frequencies = stats::ComputeFrequencies(
       values, std::max<int64_t>(1, static_cast<int64_t>(filtered_rows)));
@@ -368,49 +276,21 @@ double EstimatorSnapshot::ColumnNdvImpl(
   return estimate.value();
 }
 
-double EstimatorSnapshot::GroupNdvImpl(const minihouse::BoundQuery& query,
-                                       cardest::InferenceSession* session,
-                                       SnapshotCounters* counters) const {
+double EstimatorSnapshot::GroupNdv(const minihouse::BoundQuery& query,
+                                   cardest::InferenceSession* session,
+                                   SnapshotCounters* counters) const {
   if (query.group_by.empty()) return 1.0;
   double ndv = 1.0;
   for (const minihouse::GroupKeyRef& g : query.group_by) {
     const minihouse::BoundTableRef& ref = query.tables[g.table];
-    ndv *= std::max(1.0, ColumnNdvImpl(*ref.table, g.column, ref.filters,
-                                       session, counters));
+    ndv *= std::max(1.0, ColumnNdv(*ref.table, g.column, ref.filters, session,
+                                   counters));
   }
-  std::vector<int> scratch;
   const double rows =
-      JoinImpl(query,
-               cardest::CardEstRequest::Count(query).ResolveTables(session,
-                                                                   &scratch),
-               session, counters);
+      *EstimateWithFamily(routing::RouteFamily::kGeneral,
+                          cardest::CardEstRequest::Count(query), session,
+                          counters);
   return std::max(1.0, std::min(ndv, rows));
-}
-
-double EstimatorSnapshot::DisjunctionImpl(
-    const minihouse::Table& table,
-    const std::vector<minihouse::Conjunction>& disjuncts,
-    cardest::InferenceSession* session, SnapshotCounters* counters) const {
-  // Inclusion-exclusion over all non-empty disjunct subsets. |D| is small in
-  // practice (OR lists in analytical filters); cap keeps this bounded.
-  const int n = static_cast<int>(disjuncts.size());
-  if (n == 0) return 0.0;
-  BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
-
-  double selectivity = 0.0;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    minihouse::Conjunction merged;
-    for (int i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        merged.insert(merged.end(), disjuncts[i].begin(),
-                      disjuncts[i].end());
-      }
-    }
-    const double term = SelectivityImpl(table, merged, session, counters);
-    selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
-  }
-  selectivity = std::clamp(selectivity, 0.0, 1.0);
-  return selectivity * static_cast<double>(table.num_rows());
 }
 
 // ---------------------------------------------------------------------------
@@ -617,28 +497,8 @@ Result<std::shared_ptr<const EstimatorSnapshot>> SnapshotBuilder::Finish() {
 
 double SnapshotEstimator::Estimate(const cardest::CardEstRequest& request,
                                    cardest::InferenceSession* session) {
-  if (snapshot_ == nullptr) {
-    // No serving state: neutral answers (a disjunction "count" degrades to
-    // 0 rows, everything else to the multiplicative identity).
-    return request.target == cardest::CardEstTarget::kDisjunction ? 0.0 : 1.0;
-  }
+  if (snapshot_ == nullptr) return cardest::NeutralEstimate(request.target);
   return snapshot_->Estimate(request, session, &counters_);
-}
-
-double SnapshotEstimator::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters) {
-  return Estimate(cardest::CardEstRequest::Selectivity(table, filters),
-                  nullptr);
-}
-
-double SnapshotEstimator::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& subset) {
-  return Estimate(cardest::CardEstRequest::JoinCount(query, subset), nullptr);
-}
-
-double SnapshotEstimator::EstimateGroupNdv(
-    const minihouse::BoundQuery& query) {
-  return Estimate(cardest::CardEstRequest::GroupNdv(query), nullptr);
 }
 
 }  // namespace bytecard

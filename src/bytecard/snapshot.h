@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,63 +57,34 @@ class EstimatorSnapshot {
   uint64_t ingest_epoch() const { return ingest_epoch_; }
 
   // --- Estimation (const, lock-free) ---------------------------------------
-  // The one estimation entry point: every target kind dispatches through
-  // here. `session` (optional) is a per-query memo for repeated BN probes
-  // and FactorJoin bucket distributions; it belongs to the calling query
-  // thread and must not be shared across threads or outlive the pinned
-  // snapshot it first served. Estimates are byte-identical with and without
-  // a session — the memo replays cached values (including their fallback
-  // accounting), never recomputes differently.
+  // The one estimation entry point: resolves the request's route (kGeneral
+  // when no live route names a family), answers through EstimateWithFamily,
+  // and falls back to kGeneral — counting a route fallback — when the routed
+  // family cannot answer. `session` (optional) is a per-query memo for
+  // repeated BN probes and FactorJoin bucket distributions; it belongs to the
+  // calling query thread and must not be shared across threads or outlive
+  // the pinned snapshot it first served. Estimates are byte-identical with
+  // and without a session — the memo replays cached values (including their
+  // fallback accounting), never recomputes differently.
   double Estimate(const cardest::CardEstRequest& request,
                   cardest::InferenceSession* session,
                   SnapshotCounters* counters = nullptr) const;
 
-  // Typed convenience wrappers; each builds a CardEstRequest and delegates
-  // to Estimate with no session.
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters,
-                             SnapshotCounters* counters = nullptr) const;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset,
-                                 SnapshotCounters* counters = nullptr) const;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query,
-                          SnapshotCounters* counters = nullptr) const;
-  double EstimateCount(const minihouse::BoundQuery& query,
-                       SnapshotCounters* counters = nullptr) const;
-  double EstimateColumnNdv(const minihouse::Table& table, int column,
-                           const minihouse::Conjunction& filters,
-                           SnapshotCounters* counters = nullptr) const;
-  // OR-query estimation (paper §5.1.2) via inclusion-exclusion; the whole
-  // disjunction is answered by this one snapshot.
-  double EstimateCountDisjunction(
-      const minihouse::Table& table,
-      const std::vector<minihouse::Conjunction>& disjuncts,
-      SnapshotCounters* counters = nullptr) const;
-
-  // --- Adaptive routing -----------------------------------------------------
-  // Answers `request` with one specific estimator family, bypassing the
-  // tiered general dispatch. Returns false (and leaves *out untouched) when
-  // the family cannot answer this request shape on this snapshot — missing
-  // engine, no sample, unhealthy model, unsupported target. Estimate() calls
-  // this when a live routing table names a family for the request's class;
-  // the RouteMiner calls it directly to score candidate families on the
-  // replayed feedback trace. Routed probes memoize under family-prefixed
-  // session keys ("rt<family>:") so the general path's "sel:" memo is never
-  // polluted — the byte-identity invariant survives mixed routed/general
-  // probes within one query.
-  bool EstimateWithFamily(routing::RouteFamily family,
-                          const cardest::CardEstRequest& request,
-                          cardest::InferenceSession* session,
-                          SnapshotCounters* counters, double* out) const;
-
-  // The pre-routing tiered dispatch (BN -> FactorJoin -> traditional),
-  // byte-identical to the historical Estimate() body. Estimate() lands here
-  // for unrouted classes; the RouteMiner calls it directly so the general
-  // baseline is scored routing-free even when re-mining a snapshot whose
-  // routing table is already live.
-  double EstimateGeneral(const cardest::CardEstRequest& request,
-                         cardest::InferenceSession* session,
-                         SnapshotCounters* counters) const;
+  // Answers `request` with one estimator family from the family table.
+  // kGeneral is the default route and answers every target: health-aware
+  // BN -> traditional for selectivity; health check -> FactorJoin ->
+  // traditional for joins; RBX (or the maintained sketch) for column NDV;
+  // their product capped by the join count for group NDV; and
+  // inclusion-exclusion for disjunctions. Every other family answers only
+  // the shapes it implements and returns nullopt when it cannot answer this
+  // request on this snapshot (missing engine, no sample, unhealthy model,
+  // unsupported target). The RouteMiner calls it directly, with kGeneral as
+  // the routing-free baseline, to score families on the replayed trace.
+  // Single-table selectivity probes memoize in the session under
+  // "<family>:<TableKey>", one entry per (family, table, filters).
+  std::optional<double> EstimateWithFamily(
+      routing::RouteFamily family, const cardest::CardEstRequest& request,
+      cardest::InferenceSession* session, SnapshotCounters* counters) const;
 
   // The mined routing table (null until a RouteMiner publish).
   const routing::RoutingTable* routing_table() const { return routing_.get(); }
@@ -136,7 +108,7 @@ class EstimatorSnapshot {
   const FactorJoinEngine* fj_engine() const { return fj_engine_.get(); }
   const RbxNdvEngine* rbx_engine() const { return rbx_engine_.get(); }
   // The NDV sketch catalog (null until incremental maintenance publishes
-  // one). Immutable per snapshot; ColumnNdvImpl consults it for
+  // one). Immutable per snapshot; ColumnNdv consults it for
   // unfiltered NDV questions.
   const cardest::NdvSketchCatalog* ndv_sketches() const {
     return ndv_sketches_.get();
@@ -146,35 +118,28 @@ class EstimatorSnapshot {
   friend class SnapshotBuilder;
   EstimatorSnapshot() = default;
 
-  // Single-table selectivity through one specific family (shared by the
-  // kSelectivity and single-table kJoinCount routed paths).
-  bool FamilySelectivity(routing::RouteFamily family,
-                         const minihouse::Table& table,
-                         const minihouse::Conjunction& filters,
-                         cardest::InferenceSession* session,
-                         double* out) const;
-
-  // Per-target implementations behind the Estimate dispatch; all thread the
-  // session down to the engines that can exploit it.
-  double SelectivityImpl(const minihouse::Table& table,
-                         const minihouse::Conjunction& filters,
-                         cardest::InferenceSession* session,
-                         SnapshotCounters* counters) const;
-  double JoinImpl(const minihouse::BoundQuery& query,
-                  const std::vector<int>& subset,
+  // Single-table selectivity through `family` (the kSelectivity target and
+  // every one-table subset), memoized per family.
+  std::optional<double> TableSelectivity(routing::RouteFamily family,
+                                         const minihouse::Table& table,
+                                         const minihouse::Conjunction& filters,
+                                         cardest::InferenceSession* session,
+                                         SnapshotCounters* counters) const;
+  // Multi-table join COUNT through `family` (kGeneral, kFactorJoin or
+  // kTraditional).
+  std::optional<double> JoinCount(routing::RouteFamily family,
+                                  const minihouse::BoundQuery& query,
+                                  const std::vector<int>& subset,
+                                  cardest::InferenceSession* session,
+                                  SnapshotCounters* counters) const;
+  // The general family's NDV answers.
+  double ColumnNdv(const minihouse::Table& table, int column,
+                   const minihouse::Conjunction& filters,
+                   cardest::InferenceSession* session,
+                   SnapshotCounters* counters) const;
+  double GroupNdv(const minihouse::BoundQuery& query,
                   cardest::InferenceSession* session,
                   SnapshotCounters* counters) const;
-  double ColumnNdvImpl(const minihouse::Table& table, int column,
-                       const minihouse::Conjunction& filters,
-                       cardest::InferenceSession* session,
-                       SnapshotCounters* counters) const;
-  double GroupNdvImpl(const minihouse::BoundQuery& query,
-                      cardest::InferenceSession* session,
-                      SnapshotCounters* counters) const;
-  double DisjunctionImpl(const minihouse::Table& table,
-                         const std::vector<minihouse::Conjunction>& disjuncts,
-                         cardest::InferenceSession* session,
-                         SnapshotCounters* counters) const;
 
   uint64_t version_ = 0;
   uint64_t ingest_epoch_ = 0;
@@ -296,14 +261,8 @@ class SnapshotEstimator : public minihouse::CardinalityEstimator {
       : snapshot_(std::move(snapshot)), hook_(hook) {}
 
   std::string Name() const override { return "bytecard"; }
-  // The canonical entry point (everything below delegates through it).
   double Estimate(const cardest::CardEstRequest& request,
                   cardest::InferenceSession* session) override;
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
 
   uint64_t SnapshotVersion() const override {
     return snapshot_ == nullptr ? 0 : snapshot_->version();

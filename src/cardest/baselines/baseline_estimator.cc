@@ -1,38 +1,23 @@
 #include "cardest/baselines/baseline_estimator.h"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "common/logging.h"
 
 namespace bytecard::cardest {
 
 namespace {
 
-// Inclusion-exclusion over an estimator's own selectivity answer; mirrors
-// the snapshot's native disjunction path so the baselines answer OR queries
-// through the same canonical request shape.
-double DisjunctionCount(minihouse::CardinalityEstimator* est,
-                        const minihouse::Table& table,
-                        const std::vector<minihouse::Conjunction>& disjuncts,
-                        InferenceSession* session) {
-  const int n = static_cast<int>(disjuncts.size());
-  if (n == 0) return 0.0;
-  BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
-  double selectivity = 0.0;
-  for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-    minihouse::Conjunction merged;
-    for (int i = 0; i < n; ++i) {
-      if (mask & (1u << i)) {
-        merged.insert(merged.end(), disjuncts[i].begin(), disjuncts[i].end());
-      }
-    }
-    const double term = est->Estimate(
-        CardEstRequest::Selectivity(table, merged), session);
-    selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
-  }
-  selectivity = std::clamp(selectivity, 0.0, 1.0);
-  return selectivity * static_cast<double>(table.num_rows());
+// OR-query COUNT by inclusion-exclusion over the estimator's own selectivity
+// answer, so the baselines answer disjunctions through the same canonical
+// request shape as ByteCard.
+double SelfDisjunctionCount(minihouse::CardinalityEstimator* est,
+                            const CardEstRequest& request,
+                            InferenceSession* session) {
+  return DisjunctionCount(
+      *request.table, *request.disjuncts,
+      [est, &request, session](const minihouse::Conjunction& c) {
+        return est->Estimate(CardEstRequest::Selectivity(*request.table, c),
+                             session);
+      });
 }
 
 // A single-table query over `table` with `filters`, for models whose only
@@ -88,27 +73,12 @@ double MscnEstimator::Estimate(const CardEstRequest& request,
           SubQueryOf(*request.query, request.ResolveTables(session, &scratch)));
     }
     case CardEstTarget::kDisjunction:
-      return DisjunctionCount(this, *request.table, *request.disjuncts,
-                              session);
+      return SelfDisjunctionCount(this, request, session);
     case CardEstTarget::kGroupNdv:
     case CardEstTarget::kColumnNdv:
       return 1.0;  // COUNT-only model family
   }
   return 1.0;
-}
-
-double MscnEstimator::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters) {
-  return Estimate(CardEstRequest::Selectivity(table, filters), nullptr);
-}
-
-double MscnEstimator::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& table_subset) {
-  return Estimate(CardEstRequest::JoinCount(query, table_subset), nullptr);
-}
-
-double MscnEstimator::EstimateGroupNdv(const minihouse::BoundQuery& query) {
-  return Estimate(CardEstRequest::GroupNdv(query), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,27 +136,12 @@ double SpnEstimator::Estimate(const CardEstRequest& request,
              population;
     }
     case CardEstTarget::kDisjunction:
-      return DisjunctionCount(this, *request.table, *request.disjuncts,
-                              session);
+      return SelfDisjunctionCount(this, request, session);
     case CardEstTarget::kGroupNdv:
     case CardEstTarget::kColumnNdv:
       return 1.0;  // COUNT-only model family
   }
   return 1.0;
-}
-
-double SpnEstimator::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters) {
-  return Estimate(CardEstRequest::Selectivity(table, filters), nullptr);
-}
-
-double SpnEstimator::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& table_subset) {
-  return Estimate(CardEstRequest::JoinCount(query, table_subset), nullptr);
-}
-
-double SpnEstimator::EstimateGroupNdv(const minihouse::BoundQuery& query) {
-  return Estimate(CardEstRequest::GroupNdv(query), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,28 +164,12 @@ double BayesCardEstimator::Estimate(const CardEstRequest& request,
           SubQueryOf(*request.query, request.ResolveTables(session, &scratch)));
     }
     case CardEstTarget::kDisjunction:
-      return DisjunctionCount(this, *request.table, *request.disjuncts,
-                              session);
+      return SelfDisjunctionCount(this, request, session);
     case CardEstTarget::kGroupNdv:
     case CardEstTarget::kColumnNdv:
       return 1.0;  // COUNT-only model family
   }
   return 1.0;
-}
-
-double BayesCardEstimator::EstimateSelectivity(
-    const minihouse::Table& table, const minihouse::Conjunction& filters) {
-  return Estimate(CardEstRequest::Selectivity(table, filters), nullptr);
-}
-
-double BayesCardEstimator::EstimateJoinCardinality(
-    const minihouse::BoundQuery& query, const std::vector<int>& table_subset) {
-  return Estimate(CardEstRequest::JoinCount(query, table_subset), nullptr);
-}
-
-double BayesCardEstimator::EstimateGroupNdv(
-    const minihouse::BoundQuery& query) {
-  return Estimate(CardEstRequest::GroupNdv(query), nullptr);
 }
 
 }  // namespace bytecard::cardest

@@ -14,10 +14,9 @@ namespace bytecard::cardest {
 
 // CardinalityEstimator adapters over the Table 3 comparator models, so
 // benchmark harnesses drive MSCN / SPN (DeepDB-style) / BayesCard through
-// the same canonical CardEstRequest entry point as ByteCard itself. Each
-// adapter's primary implementation is Estimate(request, session); the typed
-// virtuals delegate through it. The adapters borrow their model (and, for
-// SPN, the denormalized table): referents must outlive the adapter.
+// the same canonical CardEstRequest entry point as ByteCard itself. The
+// adapters borrow their model (and, for SPN, the denormalized table):
+// referents must outlive the adapter.
 //
 // Requests these model families cannot answer (column NDV, group NDV) get
 // the neutral 1.0 — the comparators in the paper are COUNT estimators only.
@@ -30,12 +29,6 @@ class MscnEstimator : public minihouse::CardinalityEstimator {
   std::string Name() const override { return "mscn"; }
   double Estimate(const CardEstRequest& request,
                   InferenceSession* session) override;
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(
-      const minihouse::BoundQuery& query,
-      const std::vector<int>& table_subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
 
  private:
   const MscnModel* model_;
@@ -54,12 +47,6 @@ class SpnEstimator : public minihouse::CardinalityEstimator {
   std::string Name() const override { return "spn"; }
   double Estimate(const CardEstRequest& request,
                   InferenceSession* session) override;
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(
-      const minihouse::BoundQuery& query,
-      const std::vector<int>& table_subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
 
  private:
   const SpnModel* model_;
@@ -76,12 +63,6 @@ class BayesCardEstimator : public minihouse::CardinalityEstimator {
   std::string Name() const override { return "bayescard"; }
   double Estimate(const CardEstRequest& request,
                   InferenceSession* session) override;
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(
-      const minihouse::BoundQuery& query,
-      const std::vector<int>& table_subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
 
  private:
   const BayesCardModel* model_;

@@ -219,8 +219,9 @@ double FactorJoinEstimator::EstimateJoinCount(
   if (subset.empty()) return 0.0;
 
   // Raw BN-filtered row count of one table. Memoized under "fjsel:" —
-  // distinct from the snapshot's health-aware "sel:" entries, which may be
-  // served by the fallback estimator instead of the BN.
+  // distinct from the snapshot's per-family "<family>:" entries, whose
+  // general family may be served by the fallback estimator instead of the
+  // BN.
   auto table_count = [&](int t) {
     const minihouse::BoundTableRef& ref = query.tables[t];
     std::string key;

@@ -266,6 +266,39 @@ std::string CardEstRequest::Fingerprint(InferenceSession* session) const {
   return std::string();
 }
 
+double DisjunctionCount(
+    const minihouse::Table& table,
+    const std::vector<minihouse::Conjunction>& disjuncts,
+    const std::function<double(const minihouse::Conjunction&)>& selectivity) {
+  const int n = static_cast<int>(disjuncts.size());
+  if (n == 0) return 0.0;
+  double result = 0.0;
+  if (n > 16) {
+    double sum = 0.0;
+    double max_sel = 0.0;
+    for (const minihouse::Conjunction& d : disjuncts) {
+      const double sel = selectivity(d);
+      sum += sel;
+      max_sel = std::max(max_sel, sel);
+    }
+    result = std::clamp(std::max(sum, max_sel), 0.0, 1.0);
+  } else {
+    for (uint32_t mask = 1; mask < (1u << n); ++mask) {
+      minihouse::Conjunction merged;
+      for (int i = 0; i < n; ++i) {
+        if (mask & (1u << i)) {
+          merged.insert(merged.end(), disjuncts[i].begin(),
+                        disjuncts[i].end());
+        }
+      }
+      const double term = selectivity(merged);
+      result += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
+    }
+    result = std::clamp(result, 0.0, 1.0);
+  }
+  return result * static_cast<double>(table.num_rows());
+}
+
 // ---------------------------------------------------------------------------
 // InferenceSession
 // ---------------------------------------------------------------------------

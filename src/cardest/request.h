@@ -2,6 +2,7 @@
 #define BYTECARD_CARDEST_REQUEST_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -82,6 +83,24 @@ struct CardEstRequest {
   // construction — the returned string is byte-identical with or without it.
   std::string Fingerprint(InferenceSession* session = nullptr) const;
 };
+
+// The answer when no estimator state exists (no published snapshot): a
+// disjunction count degrades to 0 rows, every other target to the
+// multiplicative identity 1.
+inline double NeutralEstimate(CardEstTarget target) {
+  return target == CardEstTarget::kDisjunction ? 0.0 : 1.0;
+}
+
+// COUNT(*) of the union of `disjuncts` on `table` (paper §5.1.2) by
+// inclusion-exclusion: every non-empty subset of disjuncts is merged into one
+// conjunction and priced with `selectivity`, and the signed sum is clamped to
+// [0, 1] before scaling by the row count. An empty list answers 0. Past 16
+// disjuncts the 2^n subsets are not enumerated; the union bound
+// clamp(sum_i sel_i, max_i sel_i, 1) x rows answers instead.
+double DisjunctionCount(
+    const minihouse::Table& table,
+    const std::vector<minihouse::Conjunction>& disjuncts,
+    const std::function<double(const minihouse::Conjunction&)>& selectivity);
 
 // --- Canonical fingerprint tokens --------------------------------------------
 // The token grammar (stable across queries; the feedback cache persists these

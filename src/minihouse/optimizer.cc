@@ -81,49 +81,6 @@ std::shared_ptr<CardinalityEstimator> CardinalityEstimator::PinSnapshot() {
                                                [](CardinalityEstimator*) {});
 }
 
-double CardinalityEstimator::Estimate(const cardest::CardEstRequest& request,
-                                      cardest::InferenceSession* session) {
-  using cardest::CardEstTarget;
-  switch (request.target) {
-    case CardEstTarget::kSelectivity:
-      return EstimateSelectivity(*request.table, *request.filters);
-    case CardEstTarget::kJoinCount: {
-      std::vector<int> scratch;
-      return EstimateJoinCardinality(
-          *request.query, request.ResolveTables(session, &scratch));
-    }
-    case CardEstTarget::kGroupNdv:
-      return EstimateGroupNdv(*request.query);
-    case CardEstTarget::kColumnNdv:
-      // The typed interface carries no NDV-under-filters question; a neutral
-      // 1 keeps consumers (hash-table sizing) conservative.
-      return 1.0;
-    case CardEstTarget::kDisjunction: {
-      // Inclusion-exclusion over the typed selectivity entry point (same
-      // bound as the snapshot's native path).
-      const auto& disjuncts = *request.disjuncts;
-      const int n = static_cast<int>(disjuncts.size());
-      if (n == 0) return 0.0;
-      BC_CHECK(n <= 16) << "inclusion-exclusion over too many disjuncts";
-      double selectivity = 0.0;
-      for (uint32_t mask = 1; mask < (1u << n); ++mask) {
-        Conjunction merged;
-        for (int i = 0; i < n; ++i) {
-          if (mask & (1u << i)) {
-            merged.insert(merged.end(), disjuncts[i].begin(),
-                          disjuncts[i].end());
-          }
-        }
-        const double term = EstimateSelectivity(*request.table, merged);
-        selectivity += (__builtin_popcount(mask) % 2 == 1) ? term : -term;
-      }
-      selectivity = std::clamp(selectivity, 0.0, 1.0);
-      return selectivity * static_cast<double>(request.table->num_rows());
-    }
-  }
-  return 1.0;
-}
-
 EstimationContext::EstimationContext(CardinalityEstimator* root,
                                      bool use_session)
     : pinned_(root->PinSnapshot()),

@@ -18,12 +18,6 @@ namespace bytecard::minihouse {
 
 class QueryContext;  // query_context.h (which includes this header)
 
-// The estimator interface the optimizer is parameterized by. Implemented by
-// the traditional sketch-based estimator, the sample-based estimator, and the
-// ByteCard facade — the three systems Figure 5/6/7 compare. Estimation cost
-// is intentionally paid inside optimizer calls so that estimation overhead
-// (the sample-based method's weakness at low latency quantiles) shows up in
-// end-to-end latency.
 // Adaptive-routing accounting a pinned estimator view exposes (all zero for
 // estimators without a routing layer, or while no routing table is live).
 struct RoutingStats {
@@ -32,38 +26,63 @@ struct RoutingStats {
   int64_t route_fallbacks = 0;   // routed family inapplicable -> general path
 };
 
+// The estimator interface the optimizer is parameterized by. Implemented by
+// the traditional sketch-based estimator, the sample-based estimator, the
+// Table 3 baseline adapters, and the ByteCard facade (with its pinned
+// snapshot view). Estimation cost is intentionally paid inside optimizer
+// calls so that estimation overhead (the sample-based method's weakness at
+// low latency quantiles) shows up in end-to-end latency.
 class CardinalityEstimator {
  public:
   virtual ~CardinalityEstimator() = default;
 
   virtual std::string Name() const = 0;
 
-  // The canonical entry point: answers any estimation-request shape (see
-  // cardest/request.h) — this is the one code path every estimator serves,
-  // and the only one EstimationContext calls. The default implementation
-  // adapts onto the typed virtuals below (disjunctions by
-  // inclusion-exclusion over EstimateSelectivity; column NDV neutrally at 1),
-  // so sketches, samples, and test stubs participate unchanged. Estimators
-  // with a native canonical path (the ByteCard snapshot view, the baseline
-  // adapters) override this instead. `session` is the caller's per-query
-  // probe memo; null is always valid and never changes the estimate.
+  // The one estimation virtual: answers any estimation-request shape (see
+  // cardest/request.h). Every estimator, test stubs included, implements
+  // exactly this; EstimationContext and the typed shapes below all call it.
+  // `session` is the caller's per-query probe memo; null is always valid and
+  // never changes the estimate.
   virtual double Estimate(const cardest::CardEstRequest& request,
-                          cardest::InferenceSession* session);
+                          cardest::InferenceSession* session) = 0;
 
-  // --- Typed convenience entry points ---------------------------------------
-  // Thin shapes over Estimate for callers that know their question statically.
+  // --- Typed shapes (non-virtual) -------------------------------------------
+  // For callers that know their question statically: each builds the request
+  // and calls Estimate without a session.
 
   // Fraction of `table`'s rows satisfying the conjunction, in [0, 1].
-  virtual double EstimateSelectivity(const Table& table,
-                                     const Conjunction& filters) = 0;
-
+  double EstimateSelectivity(const Table& table, const Conjunction& filters) {
+    return Estimate(cardest::CardEstRequest::Selectivity(table, filters),
+                    nullptr);
+  }
   // Estimated COUNT(*) of the join of `table_subset` (indices into
   // query.tables) under their filters and the query's join edges.
-  virtual double EstimateJoinCardinality(
-      const BoundQuery& query, const std::vector<int>& table_subset) = 0;
-
+  double EstimateJoinCardinality(const BoundQuery& query,
+                                 const std::vector<int>& table_subset) {
+    return Estimate(cardest::CardEstRequest::JoinCount(query, table_subset),
+                    nullptr);
+  }
   // Estimated number of distinct group keys the query's GROUP BY produces.
-  virtual double EstimateGroupNdv(const BoundQuery& query) = 0;
+  double EstimateGroupNdv(const BoundQuery& query) {
+    return Estimate(cardest::CardEstRequest::GroupNdv(query), nullptr);
+  }
+  // COUNT(*) of a whole (possibly multi-table) query.
+  double EstimateCount(const BoundQuery& query) {
+    return Estimate(cardest::CardEstRequest::Count(query), nullptr);
+  }
+  // COUNT(DISTINCT column) on one table under filters.
+  double EstimateColumnNdv(const Table& table, int column,
+                           const Conjunction& filters) {
+    return Estimate(
+        cardest::CardEstRequest::ColumnNdv(table, column, filters), nullptr);
+  }
+  // OR-query COUNT (paper §5.1.2): the union of single-table filter
+  // conjunctions on `table` (see cardest::DisjunctionCount).
+  double EstimateCountDisjunction(const Table& table,
+                                  const std::vector<Conjunction>& disjuncts) {
+    return Estimate(cardest::CardEstRequest::Disjunction(table, disjuncts),
+                    nullptr);
+  }
 
   // --- Model-snapshot hooks --------------------------------------------------
   // Pins an immutable model snapshot and returns a per-query view over it:

@@ -21,6 +21,37 @@ bool InSubset(const std::vector<int>& subset, int t) {
   return std::find(subset.begin(), subset.end(), t) != subset.end();
 }
 
+// The request dispatch both traditional estimators share: their native
+// selectivity / join / group-NDV methods, inclusion-exclusion over the
+// native selectivity for disjunctions, and a neutral 1 for column NDV
+// (neither keeps a filter-conditioned distinct count, and 1 keeps hash-table
+// sizing conservative).
+template <typename Estimator>
+double Dispatch(Estimator* est, const cardest::CardEstRequest& request,
+                cardest::InferenceSession* session) {
+  using cardest::CardEstTarget;
+  switch (request.target) {
+    case CardEstTarget::kSelectivity:
+      return est->Selectivity(*request.table, *request.filters);
+    case CardEstTarget::kJoinCount: {
+      std::vector<int> scratch;
+      return est->JoinCardinality(*request.query,
+                                  request.ResolveTables(session, &scratch));
+    }
+    case CardEstTarget::kGroupNdv:
+      return est->GroupNdv(*request.query);
+    case CardEstTarget::kColumnNdv:
+      return 1.0;
+    case CardEstTarget::kDisjunction:
+      return cardest::DisjunctionCount(
+          *request.table, *request.disjuncts,
+          [est, &request](const Conjunction& c) {
+            return est->Selectivity(*request.table, c);
+          });
+  }
+  return 1.0;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -78,7 +109,12 @@ int64_t SketchStatistics::TableRows(const std::string& table) const {
 // SketchEstimator
 // ---------------------------------------------------------------------------
 
-double SketchEstimator::EstimateSelectivity(const Table& table,
+double SketchEstimator::Estimate(const cardest::CardEstRequest& request,
+                                 cardest::InferenceSession* session) {
+  return Dispatch(this, request, session);
+}
+
+double SketchEstimator::Selectivity(const Table& table,
                                             const Conjunction& filters) {
   // Attribute-value independence: multiply per-column selectivities.
   double sel = 1.0;
@@ -95,13 +131,13 @@ double SketchEstimator::EstimateSelectivity(const Table& table,
   return std::clamp(sel, 0.0, 1.0);
 }
 
-double SketchEstimator::EstimateJoinCardinality(
+double SketchEstimator::JoinCardinality(
     const BoundQuery& query, const std::vector<int>& subset) {
   double card = 1.0;
   for (int t : subset) {
     const Table& table = *query.tables[t].table;
     card *= static_cast<double>(table.num_rows()) *
-            EstimateSelectivity(table, query.tables[t].filters);
+            Selectivity(table, query.tables[t].filters);
   }
   // Join uniformity + key inclusion: each edge divides by max side NDV.
   for (const JoinEdge& e : query.joins) {
@@ -117,7 +153,7 @@ double SketchEstimator::EstimateJoinCardinality(
   return std::max(card, 0.0);
 }
 
-double SketchEstimator::EstimateGroupNdv(const BoundQuery& query) {
+double SketchEstimator::GroupNdv(const BoundQuery& query) {
   if (query.group_by.empty()) return 1.0;
   // Precomputed full-column NDVs; predicates are ignored (the sketch store
   // has no way to condition on them), capped by the estimated output size.
@@ -128,7 +164,7 @@ double SketchEstimator::EstimateGroupNdv(const BoundQuery& query) {
   }
   std::vector<int> all(query.num_tables());
   for (int i = 0; i < query.num_tables(); ++i) all[i] = i;
-  const double rows = EstimateJoinCardinality(query, all);
+  const double rows = JoinCardinality(query, all);
   return std::max(1.0, std::min(ndv, rows));
 }
 
@@ -145,13 +181,18 @@ SampleEstimator::SampleEstimator(const minihouse::Database& db, double rate,
   }
 }
 
+double SampleEstimator::Estimate(const cardest::CardEstRequest& request,
+                                 cardest::InferenceSession* session) {
+  return Dispatch(this, request, session);
+}
+
 const TableSample* SampleEstimator::FindSample(
     const std::string& table) const {
   auto it = samples_.find(table);
   return it == samples_.end() ? nullptr : &it->second;
 }
 
-double SampleEstimator::EstimateSelectivity(const Table& table,
+double SampleEstimator::Selectivity(const Table& table,
                                             const Conjunction& filters) {
   const TableSample* sample = FindSample(table.name());
   if (sample == nullptr || sample->num_rows() == 0) return 1.0;
@@ -165,7 +206,7 @@ double SampleEstimator::EstimateSelectivity(const Table& table,
          static_cast<double>(sample->num_rows());
 }
 
-double SampleEstimator::EstimateJoinCardinality(
+double SampleEstimator::JoinCardinality(
     const BoundQuery& query, const std::vector<int>& subset) {
   // Selinger shape, but all inputs measured on the samples: selectivities
   // from sample predicate evaluation, join-key NDVs from sample distincts
@@ -174,7 +215,7 @@ double SampleEstimator::EstimateJoinCardinality(
   for (int t : subset) {
     const Table& table = *query.tables[t].table;
     card *= static_cast<double>(table.num_rows()) *
-            EstimateSelectivity(table, query.tables[t].filters);
+            Selectivity(table, query.tables[t].filters);
   }
   for (const JoinEdge& e : query.joins) {
     if (!InSubset(subset, e.left_table) || !InSubset(subset, e.right_table)) {
@@ -195,7 +236,7 @@ double SampleEstimator::EstimateJoinCardinality(
   return std::max(card, 0.0);
 }
 
-double SampleEstimator::EstimateGroupNdv(const BoundQuery& query) {
+double SampleEstimator::GroupNdv(const BoundQuery& query) {
   if (query.group_by.empty()) return 1.0;
   double ndv = 1.0;
   for (const minihouse::GroupKeyRef& g : query.group_by) {
@@ -221,7 +262,7 @@ double SampleEstimator::EstimateGroupNdv(const BoundQuery& query) {
   }
   std::vector<int> all(query.num_tables());
   for (int i = 0; i < query.num_tables(); ++i) all[i] = i;
-  const double rows = EstimateJoinCardinality(query, all);
+  const double rows = JoinCardinality(query, all);
   return std::max(1.0, std::min(ndv, rows));
 }
 

@@ -48,12 +48,16 @@ class SketchEstimator : public minihouse::CardinalityEstimator {
       : statistics_(statistics) {}
 
   std::string Name() const override { return "sketch"; }
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override;
 
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
+  // Native answers behind Estimate (the ByteCard snapshot calls them
+  // directly as its traditional family).
+  double Selectivity(const minihouse::Table& table,
+                     const minihouse::Conjunction& filters);
+  double JoinCardinality(const minihouse::BoundQuery& query,
+                         const std::vector<int>& subset);
+  double GroupNdv(const minihouse::BoundQuery& query);
 
  private:
   const SketchStatistics* statistics_;
@@ -71,12 +75,15 @@ class SampleEstimator : public minihouse::CardinalityEstimator {
                   int64_t max_rows, uint64_t seed);
 
   std::string Name() const override { return "sample"; }
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override;
 
-  double EstimateSelectivity(const minihouse::Table& table,
-                             const minihouse::Conjunction& filters) override;
-  double EstimateJoinCardinality(const minihouse::BoundQuery& query,
-                                 const std::vector<int>& subset) override;
-  double EstimateGroupNdv(const minihouse::BoundQuery& query) override;
+  // Native answers behind Estimate.
+  double Selectivity(const minihouse::Table& table,
+                     const minihouse::Conjunction& filters);
+  double JoinCardinality(const minihouse::BoundQuery& query,
+                         const std::vector<int>& subset);
+  double GroupNdv(const minihouse::BoundQuery& query);
 
   const TableSample* FindSample(const std::string& table) const;
 

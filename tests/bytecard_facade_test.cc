@@ -18,9 +18,7 @@ using minihouse::CompareOp;
 class ByteCardFacadeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_facade_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new std::string(testutil::MakeTempDir("facade_test"));
     db_ = testutil::BuildToyDatabase(20000).release();
 
     ByteCard::Options options;
@@ -162,9 +160,7 @@ TEST_F(ByteCardFacadeTest, ImplementsEstimatorInterface) {
 }
 
 TEST(ByteCardBootstrapTest, PretrainedRbxReused) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_pretrained_rbx").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("pretrained_rbx");
   auto db = testutil::BuildToyDatabase(3000);
 
   // First bootstrap trains RBX and leaves an artifact behind.

@@ -33,8 +33,7 @@ minihouse::ColumnPredicate Pred(int column, CompareOp op, int64_t operand,
 class LifecycleTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_lifecycle").string();
-    fs::remove_all(dir_);
+    dir_ = testutil::MakeTempDir("lifecycle");
     db_ = testutil::BuildToyDatabase(20000);
 
     ByteCard::Options options;

@@ -22,12 +22,7 @@ namespace fs = std::filesystem;
 class TempDir {
  public:
   explicit TempDir(const std::string& name)
-      : path_(fs::temp_directory_path() /
-              ("bytecard_test_" + name + "_" +
-               std::to_string(::getpid()))) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
+      : path_(testutil::MakeTempDir("test_" + name)) {}
   ~TempDir() { fs::remove_all(path_); }
   std::string str() const { return path_.string(); }
 

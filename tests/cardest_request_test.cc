@@ -9,18 +9,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bytecard/bytecard.h"
+#include "cardest/baselines/baseline_estimator.h"
+#include "cardest/baselines/denorm.h"
 #include "cardest/request.h"
 #include "common/rng.h"
 #include "minihouse/executor.h"
 #include "minihouse/feedback.h"
 #include "minihouse/operators.h"
 #include "minihouse/optimizer.h"
+#include "stats/traditional_estimator.h"
 #include "test_util.h"
+#include "workload/truth.h"
 
 namespace bytecard {
 namespace {
@@ -275,19 +283,22 @@ class HookedEstimator : public minihouse::CardinalityEstimator {
  public:
   explicit HookedEstimator(minihouse::QueryFeedbackHook* hook) : hook_(hook) {}
   std::string Name() const override { return "hooked"; }
-  double EstimateSelectivity(const minihouse::Table&,
-                             const Conjunction&) override {
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
+  double Selectivity(const minihouse::Table&, const Conjunction&) {
     return 0.5;
   }
-  double EstimateJoinCardinality(const BoundQuery& query,
-                                 const std::vector<int>& subset) override {
+  double JoinCardinality(const BoundQuery& query,
+                         const std::vector<int>& subset) {
     double card = 1.0;
     for (int t : subset) {
       card *= static_cast<double>(query.tables[t].table->num_rows());
     }
     return card * 0.01;
   }
-  double EstimateGroupNdv(const BoundQuery&) override { return 8.0; }
+  double GroupNdv(const BoundQuery&) { return 8.0; }
   minihouse::QueryFeedbackHook* feedback_hook() const override {
     return hook_;
   }
@@ -384,6 +395,141 @@ TEST(RequestFingerprintTest, SessionMemoRoundTrips) {
   EXPECT_EQ(session.AllTables(3), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(session.AllTables(5), (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(session.AllTables(2), (std::vector<int>{0, 1}));
+}
+
+// --- Estimator contract ---------------------------------------------------------
+
+// Every CardinalityEstimator answers through its one virtual, Estimate: each
+// typed shape equals the canonical request bit for bit, selectivities are
+// fractions, and OR-query counts answer 0 for no disjuncts, selectivity x
+// rows for one, and a count within [0, rows] otherwise — including past the
+// 16 disjuncts inclusion-exclusion enumerates, where the union bound
+// answers.
+void ExpectEstimatorContract(minihouse::CardinalityEstimator* estimator,
+                             const minihouse::Database& db) {
+  SCOPED_TRACE(estimator->Name());
+  const minihouse::Table& fact = *db.FindTable("fact").value();
+  const double rows = static_cast<double>(fact.num_rows());
+
+  BoundQuery query = testutil::ToyJoinQuery(db);
+  query.tables[0].filters = {Pred(1, CompareOp::kLt, 20)};
+  query.tables[1].filters = {Pred(1, CompareOp::kEq, 2)};
+  query.group_by = {{1, 1}};  // dim.category
+  const Conjunction& filters = query.tables[0].filters;
+  const std::vector<int> subset = {0, 1};
+  const std::vector<Conjunction> disjuncts = {{Pred(1, CompareOp::kLt, 10)},
+                                              {Pred(1, CompareOp::kGe, 40)},
+                                              {Pred(2, CompareOp::kEq, 2)}};
+
+  EXPECT_EQ(estimator->EstimateSelectivity(fact, filters),
+            estimator->Estimate(CardEstRequest::Selectivity(fact, filters),
+                                nullptr));
+  EXPECT_EQ(estimator->EstimateJoinCardinality(query, subset),
+            estimator->Estimate(CardEstRequest::JoinCount(query, subset),
+                                nullptr));
+  EXPECT_EQ(estimator->EstimateGroupNdv(query),
+            estimator->Estimate(CardEstRequest::GroupNdv(query), nullptr));
+  EXPECT_EQ(estimator->EstimateCount(query),
+            estimator->Estimate(CardEstRequest::Count(query), nullptr));
+  EXPECT_EQ(estimator->EstimateColumnNdv(fact, 1, filters),
+            estimator->Estimate(CardEstRequest::ColumnNdv(fact, 1, filters),
+                                nullptr));
+  EXPECT_EQ(estimator->EstimateCountDisjunction(fact, disjuncts),
+            estimator->Estimate(CardEstRequest::Disjunction(fact, disjuncts),
+                                nullptr));
+
+  Rng rng(29);
+  for (int i = 0; i < 24; ++i) {
+    const Conjunction conjunction = RandomFilters(&rng);
+    const double sel = estimator->EstimateSelectivity(fact, conjunction);
+    EXPECT_GE(sel, 0.0);
+    EXPECT_LE(sel, 1.0);
+  }
+
+  EXPECT_EQ(estimator->EstimateCountDisjunction(fact, {}), 0.0);
+  EXPECT_EQ(estimator->EstimateCountDisjunction(fact, {disjuncts[0]}),
+            estimator->EstimateSelectivity(fact, disjuncts[0]) * rows);
+  // 17 disjuncts: one past the enumeration cap, so the union bound answers
+  // (this aborted the process before the cap became a bound).
+  std::vector<Conjunction> wide;
+  double sum = 0.0;
+  double max_sel = 0.0;
+  for (int i = 0; i < 17; ++i) {
+    wide.push_back({Pred(1, CompareOp::kEq, i)});
+    const double sel = estimator->EstimateSelectivity(fact, wide.back());
+    sum += sel;
+    max_sel = std::max(max_sel, sel);
+  }
+  EXPECT_EQ(estimator->EstimateCountDisjunction(fact, wide),
+            std::clamp(sum, max_sel, 1.0) * rows);
+  for (const std::vector<Conjunction>& list :
+       {std::vector<Conjunction>(disjuncts.begin(), disjuncts.begin() + 2),
+        disjuncts, wide}) {
+    const double count = estimator->EstimateCountDisjunction(fact, list);
+    EXPECT_TRUE(std::isfinite(count));
+    EXPECT_GE(count, 0.0);
+    EXPECT_LE(count, rows);
+  }
+}
+
+TEST(EstimatorContractTest, EveryEstimatorAnswersThroughEstimate) {
+  auto db = testutil::BuildToyDatabase(2000);
+  const BoundQuery full_join = testutil::ToyJoinQuery(*db);
+
+  auto sketch_stats = stats::SketchStatistics::Build(*db, 32);
+  stats::SketchEstimator sketch(sketch_stats.get());
+  ExpectEstimatorContract(&sketch, *db);
+  stats::SampleEstimator sample(*db, 0.1, 1000, 5);
+  ExpectEstimatorContract(&sample, *db);
+
+  const std::string dir = testutil::MakeTempDir("estimator_contract");
+  ByteCard::Options options;
+  options.rbx.population_sizes = {2000};
+  options.rbx.sample_rates = {0.05};
+  options.rbx.replicas = 1;
+  options.rbx.epochs = 5;
+  auto bytecard = ByteCard::Bootstrap(*db, {full_join}, dir, options);
+  ASSERT_TRUE(bytecard.ok()) << bytecard.status().ToString();
+  ExpectEstimatorContract(bytecard.value().get(), *db);
+  ExpectEstimatorContract(bytecard.value()->PinSnapshot().get(), *db);
+
+  // Table 3 baselines, trained small: the contract is about dispatch, not
+  // accuracy.
+  cardest::BayesCardModel::TrainOptions bayescard_options;
+  bayescard_options.max_base_rows = 1000;
+  auto bayescard = cardest::BayesCardModel::Train(full_join, bayescard_options);
+  ASSERT_TRUE(bayescard.ok());
+  cardest::BayesCardEstimator bayescard_estimator(&bayescard.value());
+  ExpectEstimatorContract(&bayescard_estimator, *db);
+
+  auto denorm = cardest::BuildDenormalizedSample(full_join, 2000, 2000, 7);
+  ASSERT_TRUE(denorm.ok());
+  auto spn = cardest::SpnModel::Train(*denorm.value(), {});
+  ASSERT_TRUE(spn.ok());
+  cardest::SpnEstimator spn_estimator(&spn.value(), denorm.value().get(),
+                                      static_cast<double>(
+                                          denorm.value()->num_rows()));
+  ExpectEstimatorContract(&spn_estimator, *db);
+
+  std::vector<BoundQuery> training;
+  std::vector<double> counts;
+  for (int bound = 5; bound < 50; bound += 5) {
+    BoundQuery q = full_join;
+    q.tables[0].filters = {Pred(1, CompareOp::kLt, bound)};
+    auto truth = workload::TrueCount(q);
+    ASSERT_TRUE(truth.ok());
+    training.push_back(std::move(q));
+    counts.push_back(static_cast<double>(truth.value()));
+  }
+  cardest::MscnModel::TrainOptions mscn_options;
+  mscn_options.epochs = 5;
+  auto mscn = cardest::MscnModel::Train(*db, training, counts, mscn_options);
+  ASSERT_TRUE(mscn.ok());
+  cardest::MscnEstimator mscn_estimator(&mscn.value());
+  ExpectEstimatorContract(&mscn_estimator, *db);
+
+  bytecard.value().reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

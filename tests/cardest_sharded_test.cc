@@ -64,8 +64,7 @@ int64_t TrueCount(const minihouse::Table& table,
 class ShardedBnTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_sharded").string();
-    fs::remove_all(dir_);
+    dir_ = testutil::MakeTempDir("sharded");
     table_ = MakeSegmentedTable(24000, 17);
 
     // Train via the forge's shard-aware path: shard key = segment (col 0).

@@ -140,9 +140,7 @@ TEST(ConcurrencyTest, SnapshotPublishSafeDuringEstimation) {
   // pin are bit-identical and the pinned version never moves, no matter how
   // many publishes land concurrently.
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_snapshot_stress").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("snapshot_stress");
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;

@@ -70,13 +70,16 @@ class StubEstimator : public minihouse::CardinalityEstimator {
   explicit StubEstimator(minihouse::QueryFeedbackHook* hook) : hook_(hook) {}
 
   std::string Name() const override { return "stub"; }
-  double EstimateSelectivity(const minihouse::Table&,
-                             const minihouse::Conjunction&) override {
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
+  double Selectivity(const minihouse::Table&, const minihouse::Conjunction&) {
     calls.fetch_add(1, std::memory_order_relaxed);
     return 0.5;
   }
-  double EstimateJoinCardinality(const BoundQuery& query,
-                                 const std::vector<int>& subset) override {
+  double JoinCardinality(const BoundQuery& query,
+                         const std::vector<int>& subset) {
     calls.fetch_add(1, std::memory_order_relaxed);
     double card = 1.0;
     for (int t : subset) {
@@ -84,7 +87,7 @@ class StubEstimator : public minihouse::CardinalityEstimator {
     }
     return card * 0.01;
   }
-  double EstimateGroupNdv(const BoundQuery&) override {
+  double GroupNdv(const BoundQuery&) {
     calls.fetch_add(1, std::memory_order_relaxed);
     return 8.0;
   }
@@ -578,8 +581,7 @@ TEST(FeedbackConcurrencyTest, ParallelQueriesRaceInvalidation) {
 class FeedbackByteCardTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_feedback").string();
-    fs::remove_all(dir_);
+    dir_ = testutil::MakeTempDir("feedback");
     db_ = testutil::BuildToyDatabase(20000);
 
     ByteCard::Options options;

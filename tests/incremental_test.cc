@@ -276,9 +276,7 @@ TEST(FjDeltaTest, BatchOnUnmodelledTableIsANoop) {
 class IncrementalMaintainerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_incremental_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new std::string(testutil::MakeTempDir("incremental_test"));
     db_ = testutil::BuildToyDatabase(8000, 113).release();
 
     ByteCard::Options options;
@@ -458,9 +456,7 @@ TEST_F(IncrementalMaintainerTest, FeedbackInvalidationScopedToIngestedTable) {
 // --- Races: ingest vs query streams vs lifecycle --------------------------------
 
 TEST(IncrementalConcurrencyTest, IngestRacesQueriesAndLifecycle) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_incremental_race").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("incremental_race");
   auto db = testutil::BuildToyDatabase(4000, 211);
 
   ByteCard::Options options;

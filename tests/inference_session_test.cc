@@ -40,9 +40,7 @@ using minihouse::PhysicalPlan;
 class InferenceSessionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_session_test").string());
-    fs::remove_all(*dir_);
+    dir_ = new std::string(testutil::MakeTempDir("session_test"));
     db_ = testutil::BuildToyDatabase(20000).release();
 
     ByteCard::Options options;
@@ -263,9 +261,7 @@ TEST_F(InferenceSessionTest, PlanningStatsReachExecStats) {
 
 TEST(SessionConcurrencyTest, ThreadsShareSnapshotWithPrivateSessions) {
   namespace tfs = std::filesystem;
-  const std::string dir =
-      (tfs::temp_directory_path() / "bytecard_session_concurrency").string();
-  tfs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("session_concurrency");
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;

@@ -14,6 +14,7 @@
 #include "minihouse/executor.h"
 #include "sql/analyzer.h"
 #include "stats/traditional_estimator.h"
+#include "test_util.h"
 #include "workload/datagen.h"
 #include "workload/qerror.h"
 #include "workload/truth.h"
@@ -27,9 +28,7 @@ namespace fs = std::filesystem;
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(
-        (fs::temp_directory_path() / "bytecard_integration").string());
-    fs::remove_all(*dir_);
+    dir_ = new std::string(testutil::MakeTempDir("integration"));
 
     db_ = workload::GenerateAeolus(0.15, 2026).value().release();
 

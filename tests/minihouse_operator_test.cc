@@ -302,16 +302,19 @@ TEST(OperatorDagTest, CountStarSingleTableScansNoColumns) {
 class CountingEstimator : public CardinalityEstimator {
  public:
   std::string Name() const override { return "counting"; }
-  double EstimateSelectivity(const Table&, const Conjunction&) override {
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
+  double Selectivity(const Table&, const Conjunction&) {
     ++calls;
     return 0.5;
   }
-  double EstimateJoinCardinality(const BoundQuery&,
-                                 const std::vector<int>& subset) override {
+  double JoinCardinality(const BoundQuery&, const std::vector<int>& subset) {
     ++calls;
     return 100.0 * static_cast<double>(subset.size());
   }
-  double EstimateGroupNdv(const BoundQuery&) override {
+  double GroupNdv(const BoundQuery&) {
     ++calls;
     return 5.0;
   }

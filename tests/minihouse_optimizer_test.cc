@@ -15,9 +15,12 @@ namespace {
 class FakeEstimator : public CardinalityEstimator {
  public:
   std::string Name() const override { return "fake"; }
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
 
-  double EstimateSelectivity(const Table& table,
-                             const Conjunction& filters) override {
+  double Selectivity(const Table& table, const Conjunction& filters) {
     ++selectivity_calls;
     (void)table;
     // Product of per-predicate scripted selectivities; conjunction of the
@@ -35,8 +38,8 @@ class FakeEstimator : public CardinalityEstimator {
     return sel;
   }
 
-  double EstimateJoinCardinality(const BoundQuery& query,
-                                 const std::vector<int>& subset) override {
+  double JoinCardinality(const BoundQuery& query,
+                         const std::vector<int>& subset) {
     ++join_calls;
     (void)query;
     double card = 1.0;
@@ -44,7 +47,7 @@ class FakeEstimator : public CardinalityEstimator {
     return card;
   }
 
-  double EstimateGroupNdv(const BoundQuery& query) override {
+  double GroupNdv(const BoundQuery& query) {
     (void)query;
     return group_ndv;
   }

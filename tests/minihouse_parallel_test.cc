@@ -350,16 +350,19 @@ TEST(ParallelExecutorTest, JoinAggIdenticalAcrossDopsSipOn) {
 class StubEstimator : public CardinalityEstimator {
  public:
   std::string Name() const override { return "stub"; }
-  double EstimateSelectivity(const Table&, const Conjunction&) override {
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
+  double Selectivity(const Table&, const Conjunction&) {
     ++selectivity_calls;
     return 0.5;
   }
-  double EstimateJoinCardinality(const BoundQuery&,
-                                 const std::vector<int>&) override {
+  double JoinCardinality(const BoundQuery&, const std::vector<int>&) {
     ++join_calls;
     return 15000.0;
   }
-  double EstimateGroupNdv(const BoundQuery&) override { return 64.0; }
+  double GroupNdv(const BoundQuery&) { return 64.0; }
 
   int selectivity_calls = 0;
   int join_calls = 0;

@@ -142,15 +142,8 @@ TEST_F(SipScanTest, OptimizerFlagDisablesSip) {
   // plan with nullptr is not allowed, so use a tiny fake.
   struct Trivial : minihouse::CardinalityEstimator {
     std::string Name() const override { return "trivial"; }
-    double EstimateSelectivity(const minihouse::Table&,
-                               const minihouse::Conjunction&) override {
-      return 1.0;
-    }
-    double EstimateJoinCardinality(const minihouse::BoundQuery&,
-                                   const std::vector<int>&) override {
-      return 1.0;
-    }
-    double EstimateGroupNdv(const minihouse::BoundQuery&) override {
+    double Estimate(const cardest::CardEstRequest&,
+                    cardest::InferenceSession*) override {
       return 1.0;
     }
   } trivial;

@@ -420,19 +420,22 @@ class StubEstimator : public minihouse::CardinalityEstimator {
       : hook_(hook) {}
 
   std::string Name() const override { return "stub"; }
-  double EstimateSelectivity(const Table&,
-                             const minihouse::Conjunction&) override {
+  double Estimate(const cardest::CardEstRequest& request,
+                  cardest::InferenceSession* session) override {
+    return testutil::AnswerWithStub(this, request, session);
+  }
+  double Selectivity(const Table&, const minihouse::Conjunction&) {
     return 0.5;
   }
-  double EstimateJoinCardinality(const BoundQuery& query,
-                                 const std::vector<int>& subset) override {
+  double JoinCardinality(const BoundQuery& query,
+                         const std::vector<int>& subset) {
     double card = 1.0;
     for (int t : subset) {
       card *= static_cast<double>(query.tables[t].table->num_rows());
     }
     return card * 0.01;
   }
-  double EstimateGroupNdv(const BoundQuery&) override { return 8.0; }
+  double GroupNdv(const BoundQuery&) { return 8.0; }
   minihouse::QueryFeedbackHook* feedback_hook() const override {
     return hook_;
   }

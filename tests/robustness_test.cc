@@ -108,10 +108,7 @@ TEST(RobustnessTest, EnginesRejectGarbageViaLoadModel) {
 // --- Hostile artifact store -----------------------------------------------------
 
 TEST(RobustnessTest, LoaderSurvivesJunkFilesInStore) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_junk_store").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
+  const std::string dir = testutil::MakeTempDir("junk_store");
 
   // Junk that must be ignored or surfaced as data, never crash.
   std::ofstream(dir + "/README.txt") << "not a model";

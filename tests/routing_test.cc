@@ -10,6 +10,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -245,8 +246,7 @@ TEST(RoutingTableTest, WithoutTableRetiresTouchingRoutes) {
 class RoutingByteCardTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "bytecard_routing_test").string();
-    fs::remove_all(dir_);
+    dir_ = testutil::MakeTempDir("routing_test");
     db_ = testutil::BuildToyDatabase(12000);
 
     ByteCard::Options options;
@@ -335,23 +335,24 @@ TEST_F(RoutingIdentityTest, GeneralPathAndRoutedProbesShareNoMemoState) {
   const cardest::CardEstRequest request =
       cardest::CardEstRequest::Selectivity(fact, filters);
 
-  // Estimate() with no live routing is EstimateGeneral, verbatim.
+  // Estimate() with no live routing is the kGeneral family, verbatim.
   EXPECT_EQ(snap->Estimate(request, nullptr),
-            snap->EstimateGeneral(request, nullptr, nullptr));
+            snap->EstimateWithFamily(RouteFamily::kGeneral, request, nullptr,
+                                     nullptr));
 
   // A routed family probe through a session must not perturb the general
   // path's memo: the general answer after a mixed probe equals the fresh one.
   const double fresh = snap->Estimate(request, nullptr);
   cardest::InferenceSession session;
-  double routed = 0.0;
-  ASSERT_TRUE(snap->EstimateWithFamily(RouteFamily::kSample, request, &session,
-                                       nullptr, &routed));
+  const std::optional<double> routed = snap->EstimateWithFamily(
+      RouteFamily::kSample, request, &session, nullptr);
+  ASSERT_TRUE(routed.has_value());
   EXPECT_EQ(snap->Estimate(request, &session), fresh);
   // And the probe itself is deterministic through the same session.
-  double routed_again = 0.0;
-  ASSERT_TRUE(snap->EstimateWithFamily(RouteFamily::kSample, request, &session,
-                                       nullptr, &routed_again));
-  EXPECT_EQ(routed_again, routed);
+  const std::optional<double> routed_again = snap->EstimateWithFamily(
+      RouteFamily::kSample, request, &session, nullptr);
+  ASSERT_TRUE(routed_again.has_value());
+  EXPECT_EQ(*routed_again, *routed);
 }
 
 // --- RouteMiner ---------------------------------------------------------------
@@ -455,9 +456,7 @@ TEST_F(RouteMinerTest, HealthDemotionRetiresRoutesOverTable) {
 // --- Concurrency (the TSan leg) -----------------------------------------------
 
 TEST(RoutingConcurrencyTest, ReminingRacesEstimationStreams) {
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_routing_race").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("routing_race");
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;

@@ -261,9 +261,7 @@ TEST(SchedulerSqlTest, AnalyzerErrorsSurfaceThroughWait) {
 
 TEST(SchedulerSqlTest, FacadeWiresDefaultAnalyzer) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_sql_front_door").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("sql_front_door");
   auto db = testutil::BuildToyDatabase(6000);
 
   ByteCard::Options options;
@@ -302,9 +300,7 @@ TEST(SchedulerSqlTest, MissingAnalyzerRejectsSqlSubmissions) {
 
 TEST(SchedulerConcurrencyTest, LifecyclePublishesRaceSubmittingStreams) {
   namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "bytecard_scheduler_stress").string();
-  fs::remove_all(dir);
+  const std::string dir = testutil::MakeTempDir("scheduler_stress");
   auto db = testutil::BuildToyDatabase(8000);
 
   ByteCard::Options options;

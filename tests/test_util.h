@@ -3,10 +3,14 @@
 #ifndef BYTECARD_TESTS_TEST_UTIL_H_
 #define BYTECARD_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cardest/request.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "minihouse/database.h"
@@ -70,6 +74,48 @@ inline minihouse::BoundQuery ToyJoinQuery(const minihouse::Database& db) {
   query.joins = {{0, 0, 1, 0}};  // fact.dim_id = dim.id
   query.aggs = {{minihouse::AggFunc::kCountStar, -1, -1}};
   return query;
+}
+
+// A fresh, empty directory private to this test process:
+// <tmp>/bytecard_<name>_XXXXXX created with mkdtemp, so concurrent test
+// processes (ctest -j) never share model stores. The caller removes it.
+inline std::string MakeTempDir(const std::string& name) {
+  std::string pattern =
+      (std::filesystem::temp_directory_path() / ("bytecard_" + name + "_XXXXXX"))
+          .string();
+  BC_CHECK(::mkdtemp(pattern.data()) != nullptr)
+      << "mkdtemp failed for " << pattern;
+  return pattern;
+}
+
+// Estimate() for scripted test estimators: routes each request shape to the
+// stub's Selectivity / JoinCardinality / GroupNdv methods; disjunctions go
+// through inclusion-exclusion over Selectivity and column NDV answers the
+// neutral 1.
+template <typename Stub>
+double AnswerWithStub(Stub* stub, const cardest::CardEstRequest& request,
+                      cardest::InferenceSession* session) {
+  using cardest::CardEstTarget;
+  switch (request.target) {
+    case CardEstTarget::kSelectivity:
+      return stub->Selectivity(*request.table, *request.filters);
+    case CardEstTarget::kJoinCount: {
+      std::vector<int> scratch;
+      return stub->JoinCardinality(*request.query,
+                                   request.ResolveTables(session, &scratch));
+    }
+    case CardEstTarget::kGroupNdv:
+      return stub->GroupNdv(*request.query);
+    case CardEstTarget::kDisjunction:
+      return cardest::DisjunctionCount(
+          *request.table, *request.disjuncts,
+          [&](const minihouse::Conjunction& c) {
+            return stub->Selectivity(*request.table, c);
+          });
+    case CardEstTarget::kColumnNdv:
+      break;
+  }
+  return 1.0;
 }
 
 }  // namespace bytecard::testutil
