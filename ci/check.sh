@@ -50,9 +50,11 @@ echo "== bench smoke: continuous ingest (incremental maintenance) =="
 
 echo "== bench smoke: adaptive routing (mined dispatch) =="
 # Asserts internally that every template the miner promoted keeps its mined
-# median q-error on the replay leg, that at least one workload family wins
-# aggregate planning latency, and that routed estimates actually flowed;
-# writes BENCH_adaptive_routing.json (smoke scale).
+# median q-error on the replay leg, that at least one workload family whose
+# routed leg served routed estimates wins median planning latency (pinned
+# general vs routed snapshots, alternating rounds), and that routed
+# estimates actually flowed; writes BENCH_adaptive_routing.json (smoke
+# scale).
 (cd "${BUILD_DIR}/bench" && ./bench_adaptive_routing --smoke)
 
 echo "== sanitizer: thread =="

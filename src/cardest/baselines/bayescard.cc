@@ -42,8 +42,15 @@ Result<BayesCardModel> BayesCardModel::Train(
   bn_options.max_bins = options.max_bins;
   bn_options.max_train_rows = 0;  // the denormalized sample is the dataset
   bn_options.seed = options.seed;
-  BC_ASSIGN_OR_RETURN(model.bn_, BayesNetModel::Train(*denorm, bn_options));
+  BC_ASSIGN_OR_RETURN(BayesNetModel bn,
+                      BayesNetModel::Train(*denorm, bn_options));
+  model.SetNetwork(std::move(bn));
   return model;
+}
+
+void BayesCardModel::SetNetwork(BayesNetModel bn) {
+  bn_ = std::make_shared<const BayesNetModel>(std::move(bn));
+  context_ = std::make_shared<const BnInferenceContext>(bn_.get());
 }
 
 double BayesCardModel::EstimateCount(
@@ -65,8 +72,7 @@ double BayesCardModel::EstimateCount(
       filters.push_back(std::move(mapped));
     }
   }
-  const BnInferenceContext context(&bn_);
-  return context.EstimateSelectivity(filters) * population_estimate_;
+  return context_->EstimateSelectivity(filters) * population_estimate_;
 }
 
 void BayesCardModel::Serialize(BufferWriter* writer) const {
@@ -74,7 +80,7 @@ void BayesCardModel::Serialize(BufferWriter* writer) const {
   writer->WriteDouble(population_estimate_);
   writer->WriteU64(denorm_columns_.size());
   for (const std::string& name : denorm_columns_) writer->WriteString(name);
-  bn_.Serialize(writer);
+  bn_->Serialize(writer);
 }
 
 Result<BayesCardModel> BayesCardModel::Deserialize(BufferReader* reader) {
@@ -91,7 +97,8 @@ Result<BayesCardModel> BayesCardModel::Deserialize(BufferReader* reader) {
   for (auto& name : model.denorm_columns_) {
     BC_RETURN_IF_ERROR(reader->ReadString(&name));
   }
-  BC_ASSIGN_OR_RETURN(model.bn_, BayesNetModel::Deserialize(reader));
+  BC_ASSIGN_OR_RETURN(BayesNetModel bn, BayesNetModel::Deserialize(reader));
+  model.SetNetwork(std::move(bn));
   return model;
 }
 

@@ -38,14 +38,23 @@ class BayesCardModel {
   // denormalized column space ("alias_column").
   double EstimateCount(const minihouse::BoundQuery& query) const;
 
-  const BayesNetModel& network() const { return bn_; }
+  const BayesNetModel& network() const { return *bn_; }
   double population_estimate() const { return population_estimate_; }
 
   void Serialize(BufferWriter* writer) const;
   static Result<BayesCardModel> Deserialize(BufferReader* reader);
 
  private:
-  BayesNetModel bn_;
+  // Adopts `bn` and freezes its inference context once, so estimates pay
+  // for inference only.
+  void SetNetwork(BayesNetModel bn);
+
+  // Shared: copies of the model share one network and the context that
+  // points into it.
+  std::shared_ptr<const BayesNetModel> bn_ =
+      std::make_shared<const BayesNetModel>();
+  std::shared_ptr<const BnInferenceContext> context_ =
+      std::make_shared<const BnInferenceContext>(bn_.get());
   // Column names of the denormalized table, aligned with schema indices.
   std::vector<std::string> denorm_columns_;
   double population_estimate_ = 0.0;

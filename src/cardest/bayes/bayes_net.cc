@@ -1,6 +1,7 @@
 #include "cardest/bayes/bayes_net.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <numeric>
 
@@ -223,8 +224,35 @@ Result<BayesNetModel> BayesNetModel::Deserialize(BufferReader* reader) {
 // Inference context
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Grows `v` to at least `n` entries; never shrinks, so scratch reused across
+// contexts of different sizes is not re-zeroed on every probe.
+template <typename T>
+void EnsureSize(std::vector<T>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
+}
+
+std::atomic<uint64_t> next_context_id{1};
+
+}  // namespace
+
+struct BnInferenceContext::Scratch {
+  std::vector<uint8_t> has_evidence;  // per node
+  std::vector<uint8_t> dirty;         // per node: on an evidence-to-root path
+  std::vector<double> evidence;       // at up_offset_, where has_evidence
+  std::vector<double> up;             // at up_offset_, where dirty
+  std::vector<double> child_sum;      // at sum_offset_, where dirty
+  std::vector<int> nonzero;           // nonzero bins of one child message
+  // MarginalWithEvidence's downward pass along the root -> target path.
+  std::vector<int> path;
+  std::vector<double> down;
+  std::vector<double> next_down;
+  std::vector<double> factor;
+};
+
 BnInferenceContext::BnInferenceContext(const BayesNetModel* model)
-    : model_(model) {
+    : model_(model), id_(next_context_id.fetch_add(1)) {
   const int n = model->num_nodes();
   children_.assign(n, {});
   for (int v = 0; v < n; ++v) {
@@ -235,11 +263,13 @@ BnInferenceContext::BnInferenceContext(const BayesNetModel* model)
       children_[p].push_back(v);
     }
     max_column_ = std::max(max_column_, model->nodes()[v].column);
+    max_bins_ = std::max(max_bins_, model->nodes()[v].num_bins());
   }
   col_to_node_.assign(max_column_ + 1, -1);
   for (int v = 0; v < n; ++v) {
     col_to_node_[model->nodes()[v].column] = v;
   }
+  if (n == 0) return;
 
   // Topological order (BFS from the root: parents before children).
   topo_.reserve(n);
@@ -250,74 +280,116 @@ BnInferenceContext::BnInferenceContext(const BayesNetModel* model)
   BC_CHECK(static_cast<int>(topo_.size()) == n);
 
   // CPD indexing (paper §4.1, item 2): flatten all CPDs into one array in
-  // topological order for locality and direct offset access.
+  // topological order for locality and direct offset access. Messages get
+  // the same treatment.
   cpd_offset_.assign(n, 0);
+  up_offset_.assign(n, 0);
+  sum_offset_.assign(n, 0);
   int64_t offset = 0;
+  int64_t up_size = 0;
+  int64_t sum_size = 0;
   for (int v : topo_) {
+    const BnNode& node = model->nodes()[v];
     cpd_offset_[v] = offset;
-    offset += static_cast<int64_t>(model->nodes()[v].cpd.size());
+    offset += static_cast<int64_t>(node.cpd.size());
+    up_offset_[v] = up_size;
+    up_size += node.num_bins();
+    if (node.parent >= 0) {
+      sum_offset_[v] = sum_size;
+      sum_size += model->nodes()[node.parent].num_bins();
+    }
   }
   flat_cpd_.resize(offset);
   for (int v : topo_) {
     const auto& cpd = model->nodes()[v].cpd;
     std::copy(cpd.begin(), cpd.end(), flat_cpd_.begin() + cpd_offset_[v]);
   }
+
+  // Evidence-free messages: the upward pass with every node marked and no
+  // evidence, frozen for every later probe to read.
+  Scratch s;
+  s.has_evidence.assign(n, 0);
+  s.dirty.assign(n, 1);
+  s.up.resize(up_size);
+  s.child_sum.resize(sum_size);
+  UpwardPass(&s);
+  base_up_ = std::move(s.up);
+  base_child_sum_ = std::move(s.child_sum);
 }
 
-std::vector<std::vector<double>> BnInferenceContext::BuildEvidence(
-    const minihouse::Conjunction& filters) const {
+void BnInferenceContext::LoadEvidence(const minihouse::Conjunction& filters,
+                                      Scratch* s) const {
   const int n = model_->num_nodes();
-  std::vector<std::vector<double>> evidence(n);
+  s->has_evidence.assign(n, 0);
+  s->dirty.assign(n, 0);
+  EnsureSize(&s->evidence, base_up_.size());
+  EnsureSize(&s->up, base_up_.size());
+  EnsureSize(&s->child_sum, base_child_sum_.size());
   for (const minihouse::ColumnPredicate& pred : filters) {
     if (pred.column < 0 || pred.column > max_column_) continue;
     const int v = col_to_node_[pred.column];
     if (v < 0) continue;
-    std::vector<double> w =
+    const std::vector<double> w =
         model_->nodes()[v].discretizer.PredicateWeights(pred);
-    if (evidence[v].empty()) {
-      evidence[v] = std::move(w);
+    double* e = s->evidence.data() + up_offset_[v];
+    if (!s->has_evidence[v]) {
+      std::copy(w.begin(), w.end(), e);
+      s->has_evidence[v] = 1;
     } else {
-      for (size_t b = 0; b < w.size(); ++b) evidence[v][b] *= w[b];
+      for (size_t b = 0; b < w.size(); ++b) e[b] *= w[b];
+    }
+    for (int u = v; u >= 0 && !s->dirty[u]; u = model_->nodes()[u].parent) {
+      s->dirty[u] = 1;
     }
   }
-  return evidence;
 }
 
-void BnInferenceContext::UpwardPass(
-    const std::vector<std::vector<double>>& evidence,
-    std::vector<std::vector<double>>* up,
-    std::vector<std::vector<double>>* child_sum) const {
-  const int n = model_->num_nodes();
-  up->assign(n, {});
-  child_sum->assign(n, {});
-
+void BnInferenceContext::UpwardPass(Scratch* s) const {
   // Children before parents: iterate topo order in reverse.
   for (size_t i = topo_.size(); i-- > 0;) {
     const int v = topo_[i];
-    const BnNode& node = model_->nodes()[v];
-    const int nb = node.num_bins();
-    std::vector<double>& up_v = (*up)[v];
-    up_v.assign(nb, 1.0);
-    if (!evidence[v].empty()) {
-      for (int b = 0; b < nb; ++b) up_v[b] = evidence[v][b];
+    if (!s->dirty[v]) continue;
+    const int nb = model_->nodes()[v].num_bins();
+    double* up_v = s->up.data() + up_offset_[v];
+    if (s->has_evidence[v]) {
+      std::copy_n(s->evidence.data() + up_offset_[v], nb, up_v);
+    } else {
+      std::fill_n(up_v, nb, 1.0);
     }
     for (int c : children_[v]) {
-      const BnNode& child = model_->nodes()[c];
-      const int cb = child.num_bins();
-      // S_c(x_v) = sum_{x_c} P(x_c | x_v) up_c(x_c), via the flat CPD array.
-      const double* cpd = flat_cpd_.data() + cpd_offset_[c];
-      std::vector<double>& sums = (*child_sum)[c];
-      sums.assign(nb, 0.0);
-      const std::vector<double>& up_c = (*up)[c];
-      for (int p = 0; p < nb; ++p) {
-        const double* row = cpd + static_cast<size_t>(p) * cb;
-        double s = 0.0;
-        for (int b = 0; b < cb; ++b) s += row[b] * up_c[b];
-        sums[p] = s;
+      if (s->dirty[c]) {
+        // S_c(x_v) = sum_{x_c} P(x_c | x_v) up_c(x_c), via the flat CPD
+        // array, over the nonzero bins of up_c only: an equality or narrow
+        // range predicate zeroes most of them, and with finite, non-negative
+        // CPDs and messages a skipped term is +0, so every sum is unchanged.
+        const int cb = model_->nodes()[c].num_bins();
+        const double* up_c = s->up.data() + up_offset_[c];
+        s->nonzero.clear();
+        for (int b = 0; b < cb; ++b) {
+          if (up_c[b] != 0.0) s->nonzero.push_back(b);
+        }
+        const double* cpd = flat_cpd_.data() + cpd_offset_[c];
+        double* sums = s->child_sum.data() + sum_offset_[c];
+        for (int p = 0; p < nb; ++p) {
+          const double* row = cpd + static_cast<size_t>(p) * cb;
+          double sum = 0.0;
+          for (int b : s->nonzero) sum += row[b] * up_c[b];
+          sums[p] = sum;
+        }
       }
+      const double* sums = ChildSum(c, *s);
       for (int b = 0; b < nb; ++b) up_v[b] *= sums[b];
     }
   }
+}
+
+const double* BnInferenceContext::Up(int v, const Scratch& s) const {
+  return (s.dirty[v] ? s.up.data() : base_up_.data()) + up_offset_[v];
+}
+
+const double* BnInferenceContext::ChildSum(int c, const Scratch& s) const {
+  return (s.dirty[c] ? s.child_sum.data() : base_child_sum_.data()) +
+         sum_offset_[c];
 }
 
 namespace {
@@ -326,7 +398,7 @@ namespace {
 // selectivity dozens of times (column ordering probes, every join-order
 // subset). thread_local keeps inference lock-free across query threads.
 struct SelectivityCacheEntry {
-  const void* context = nullptr;
+  uint64_t context = 0;
   uint64_t key = 0;
   double selectivity = 0.0;
 };
@@ -359,21 +431,20 @@ double BnInferenceContext::EstimateSelectivity(
       kSelectivityCacheSlots);
   const uint64_t key = HashConjunction(filters);
   SelectivityCacheEntry& slot =
-      cache[(key ^ reinterpret_cast<uintptr_t>(this)) %
-            kSelectivityCacheSlots];
-  if (slot.context == this && slot.key == key) return slot.selectivity;
+      cache[(key ^ (id_ * 0x9e3779b97f4a7c15ULL)) % kSelectivityCacheSlots];
+  if (slot.context == id_ && slot.key == key) return slot.selectivity;
 
-  const std::vector<std::vector<double>> evidence = BuildEvidence(filters);
-  std::vector<std::vector<double>> up;
-  std::vector<std::vector<double>> child_sum;
-  UpwardPass(evidence, &up, &child_sum);
+  thread_local Scratch s;
+  LoadEvidence(filters, &s);
+  UpwardPass(&s);
 
   const BnNode& root = model_->nodes()[root_];
   const double* prior = flat_cpd_.data() + cpd_offset_[root_];
+  const double* up = Up(root_, s);
   double z = 0.0;
-  for (int b = 0; b < root.num_bins(); ++b) z += prior[b] * up[root_][b];
+  for (int b = 0; b < root.num_bins(); ++b) z += prior[b] * up[b];
   z = std::clamp(z, 0.0, 1.0);
-  slot = {this, key, z};
+  slot = {id_, key, z};
   return z;
 }
 
@@ -393,59 +464,58 @@ Result<std::vector<double>> BnInferenceContext::MarginalWithEvidence(
                             " not modelled by BN for table '" +
                             model_->table_name() + "'");
   }
-  const std::vector<std::vector<double>> evidence = BuildEvidence(filters);
-  std::vector<std::vector<double>> up;
-  std::vector<std::vector<double>> child_sum;
-  UpwardPass(evidence, &up, &child_sum);
+  thread_local Scratch s;
+  LoadEvidence(filters, &s);
+  UpwardPass(&s);
 
   // Downward pass along the root -> target path only (marginals elsewhere
   // are not needed).
-  const int n = model_->num_nodes();
-  std::vector<std::vector<double>> down(n);
-  const BnNode& root = model_->nodes()[root_];
-  down[root_].assign(flat_cpd_.data() + cpd_offset_[root_],
-                     flat_cpd_.data() + cpd_offset_[root_] +
-                         root.num_bins());
-
-  // Path root..target.
-  std::vector<int> path;
+  s.path.clear();
   for (int v = target; v != -1; v = model_->nodes()[v].parent) {
-    path.push_back(v);
+    s.path.push_back(v);
   }
-  std::reverse(path.begin(), path.end());
-  BC_CHECK(path.front() == root_);
+  std::reverse(s.path.begin(), s.path.end());
+  BC_CHECK(s.path.front() == root_);
 
-  for (size_t i = 1; i < path.size(); ++i) {
-    const int v = path[i - 1];
-    const int c = path[i];
-    const BnNode& parent = model_->nodes()[v];
-    const BnNode& child = model_->nodes()[c];
-    const int vb = parent.num_bins();
-    const int cb = child.num_bins();
+  EnsureSize(&s.down, max_bins_);
+  EnsureSize(&s.next_down, max_bins_);
+  EnsureSize(&s.factor, max_bins_);
+  const BnNode& root = model_->nodes()[root_];
+  std::copy_n(flat_cpd_.data() + cpd_offset_[root_], root.num_bins(),
+              s.down.data());
+
+  for (size_t i = 1; i < s.path.size(); ++i) {
+    const int v = s.path[i - 1];
+    const int c = s.path[i];
+    const int vb = model_->nodes()[v].num_bins();
+    const int cb = model_->nodes()[c].num_bins();
 
     // factor_v(x_v) = down_v(x_v) * w_v(x_v) * prod_{s in ch(v), s != c} S_s.
-    std::vector<double> factor(vb, 0.0);
+    const double* evidence =
+        s.has_evidence[v] ? s.evidence.data() + up_offset_[v] : nullptr;
     for (int b = 0; b < vb; ++b) {
-      double f = down[v][b];
-      if (!evidence[v].empty()) f *= evidence[v][b];
-      for (int s : children_[v]) {
-        if (s == c) continue;
-        f *= child_sum[s][b];
+      double f = s.down[b];
+      if (evidence != nullptr) f *= evidence[b];
+      for (int sibling : children_[v]) {
+        if (sibling == c) continue;
+        f *= ChildSum(sibling, s)[b];
       }
-      factor[b] = f;
+      s.factor[b] = f;
     }
     const double* cpd = flat_cpd_.data() + cpd_offset_[c];
-    down[c].assign(cb, 0.0);
+    std::fill_n(s.next_down.data(), cb, 0.0);
     for (int p = 0; p < vb; ++p) {
-      if (factor[p] == 0.0) continue;
+      if (s.factor[p] == 0.0) continue;
       const double* row = cpd + static_cast<size_t>(p) * cb;
-      for (int b = 0; b < cb; ++b) down[c][b] += factor[p] * row[b];
+      for (int b = 0; b < cb; ++b) s.next_down[b] += s.factor[p] * row[b];
     }
+    std::swap(s.down, s.next_down);
   }
 
+  const double* up = Up(target, s);
   std::vector<double> marginal(model_->nodes()[target].num_bins(), 0.0);
   for (size_t b = 0; b < marginal.size(); ++b) {
-    marginal[b] = down[target][b] * up[target][b];
+    marginal[b] = s.down[b] * up[b];
   }
   return marginal;
 }
@@ -454,9 +524,20 @@ double BnInferenceContext::EstimateSelectivityTreeWalk(
     const minihouse::Conjunction& filters) const {
   // Reference implementation that re-derives structure on the fly and walks
   // node structs recursively (pointer-chasing through per-node vectors),
-  // i.e. exactly what InitContext's frozen index avoids.
-  const std::vector<std::vector<double>> evidence = BuildEvidence(filters);
+  // i.e. exactly what InitContext's frozen index and messages avoid.
   const auto& nodes = model_->nodes();
+  std::vector<std::vector<double>> evidence(nodes.size());
+  for (const minihouse::ColumnPredicate& pred : filters) {
+    if (pred.column < 0 || pred.column > max_column_) continue;
+    const int v = col_to_node_[pred.column];
+    if (v < 0) continue;
+    std::vector<double> w = nodes[v].discretizer.PredicateWeights(pred);
+    if (evidence[v].empty()) {
+      evidence[v] = std::move(w);
+    } else {
+      for (size_t b = 0; b < w.size(); ++b) evidence[v][b] *= w[b];
+    }
+  }
 
   struct Walker {
     const std::vector<BnNode>& nodes;

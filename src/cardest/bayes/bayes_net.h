@@ -85,8 +85,12 @@ class BayesNetModel {
 // Immutable inference context produced by initContext (paper §4.1). Freezes
 // the two structures the paper calls out: (1) root identification and
 // (2) CPD indexing — CPDs flattened into an array in topological order with
-// children lists, so estimation never walks the tree via pointers. All
-// methods are const and lock-free: one context serves all query threads.
+// children lists, so estimation never walks the tree via pointers. It also
+// freezes the evidence-free upward messages: a subtree without evidence
+// always sends its parent the same message, so a probe recomputes only the
+// nodes on paths from its evidence nodes to the root. All methods are const
+// and lock-free: one context serves all query threads, each probing with its
+// own thread-local scratch.
 class BnInferenceContext {
  public:
   // The model must outlive the context.
@@ -110,30 +114,49 @@ class BnInferenceContext {
   const std::vector<int>& topological_order() const { return topo_; }
 
   // Ablation reference path: same estimate computed by recursive tree
-  // walking over the model's node structs (no flat CPD indexing). Used by
-  // bench_ablation_cpd_indexing to quantify the paper's InitContext design.
+  // walking over the model's node structs (no flat CPD indexing, no frozen
+  // messages). Used by bench_ablation_cpd_indexing to quantify the paper's
+  // InitContext design, and by tests as the independent reference.
   double EstimateSelectivityTreeWalk(
       const minihouse::Conjunction& filters) const;
 
  private:
-  // Evidence weight vectors per node (1.0 where unconstrained).
-  std::vector<std::vector<double>> BuildEvidence(
-      const minihouse::Conjunction& filters) const;
+  // Flat per-thread working memory of one probe (defined in the .cc).
+  struct Scratch;
 
-  // Upward pass; returns per-node up messages and child-sum caches.
-  void UpwardPass(const std::vector<std::vector<double>>& evidence,
-                  std::vector<std::vector<double>>* up,
-                  std::vector<std::vector<double>>* child_sum) const;
+  // Loads the evidence of `filters` into `s` and marks every node on a path
+  // from an evidence node to the root as needing recomputation.
+  void LoadEvidence(const minihouse::Conjunction& filters, Scratch* s) const;
+
+  // The upward pass: recomputes the up message of every marked node,
+  // children before parents, and the child sum S_c of each marked child;
+  // unmarked nodes keep their frozen evidence-free messages.
+  void UpwardPass(Scratch* s) const;
+
+  // Node v's up message / non-root node c's child sum after a probe.
+  const double* Up(int v, const Scratch& s) const;
+  const double* ChildSum(int c, const Scratch& s) const;
 
   const BayesNetModel* model_;
+  // Distinguishes contexts in the per-thread selectivity memo: unlike the
+  // address, it is never reused by a later context.
+  uint64_t id_ = 0;
   int root_ = 0;
   std::vector<int> topo_;                  // parents before children
   std::vector<std::vector<int>> children_;
   std::vector<int> col_to_node_;           // schema column -> node index
   int max_column_ = -1;
+  int max_bins_ = 0;
   // Flat CPD storage in topological order (the paper's CPD index array).
   std::vector<double> flat_cpd_;
   std::vector<int64_t> cpd_offset_;        // per node
+  // Evidence-free upward messages, flat: node v's message (num_bins(v)
+  // entries) at up_offset_[v], non-root node c's child sum (num_bins of
+  // c's parent) at sum_offset_[c]. Probes use the same offsets.
+  std::vector<int64_t> up_offset_;
+  std::vector<int64_t> sum_offset_;
+  std::vector<double> base_up_;
+  std::vector<double> base_child_sum_;
 };
 
 }  // namespace bytecard::cardest

@@ -159,13 +159,11 @@ std::vector<double> FactorJoinEstimator::FilteredBucketCounts(
   const int nb = model_->groups()[group].buckets.num_buckets();
   const BucketStats* stats = model_->FindStats(ref.table->name(), column);
 
-  double selectivity = 1.0;
   auto bn_it = bn_contexts_->find(ref.table->name());
   const BnInferenceContext* bn =
       bn_it == bn_contexts_->end() ? nullptr : bn_it->second;
 
   if (bn != nullptr) {
-    selectivity = bn->EstimateSelectivity(ref.filters);
     // Preferred path: the BN's joint marginal over the join column, whose
     // bins coincide with the join buckets by construction.
     Result<std::vector<double>> marginal =
@@ -194,6 +192,8 @@ std::vector<double> FactorJoinEstimator::FilteredBucketCounts(
 
   // Fallback: scale unfiltered bucket counts by the overall selectivity
   // (independence between filter and join key).
+  const double selectivity =
+      bn == nullptr ? 1.0 : bn->EstimateSelectivity(ref.filters);
   std::vector<double> counts(nb, 0.0);
   double total = 0.0;
   if (stats != nullptr &&

@@ -7,11 +7,16 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
+#include <memory>
+#include <utility>
 
 #include "cardest/bayes/bayes_net.h"
 #include "cardest/bayes/chow_liu.h"
 #include "common/rng.h"
 #include "test_util.h"
+#include "workload/datagen.h"
+#include "workload/workload.h"
 
 namespace bytecard::cardest {
 namespace {
@@ -239,6 +244,30 @@ TEST_F(BnTest, FlatIndexMatchesTreeWalk) {
   }
 }
 
+// The per-thread selectivity memo must key on the context, not on where it
+// lives: a context built at a freed context's address (a reloaded model) must
+// never be served the old model's answers.
+TEST_F(BnTest, MemoNeverServesARecycledContext) {
+  auto other_db = testutil::BuildToyDatabase(20000, /*seed=*/72);
+  BnTrainOptions options;
+  options.max_bins = 32;
+  options.max_train_rows = 0;
+  auto other = BayesNetModel::Train(*other_db->FindTable("fact").value(),
+                                    options);
+  ASSERT_TRUE(other.ok());
+  const minihouse::Conjunction filters = {Pred(0, CompareOp::kLe, 30)};
+  ASSERT_NE(context_->EstimateSelectivityTreeWalk(filters),
+            BnInferenceContext(&other.value())
+                .EstimateSelectivityTreeWalk(filters));
+  for (int i = 0; i < 8; ++i) {
+    auto context = std::make_unique<BnInferenceContext>(
+        i % 2 == 0 ? model_.get() : &other.value());
+    EXPECT_EQ(context->EstimateSelectivity(filters),
+              context->EstimateSelectivityTreeWalk(filters))
+        << "round " << i;
+  }
+}
+
 TEST_F(BnTest, RootAndTopologicalOrderFrozen) {
   EXPECT_EQ(model_->nodes()[context_->root()].parent, -1);
   const auto& topo = context_->topological_order();
@@ -249,7 +278,9 @@ TEST_F(BnTest, RootAndTopologicalOrderFrozen) {
   for (int i = 0; i < 3; ++i) position[topo[i]] = i;
   for (int v = 0; v < 3; ++v) {
     const int p = model_->nodes()[v].parent;
-    if (p >= 0) EXPECT_LT(position[p], position[v]);
+    if (p >= 0) {
+      EXPECT_LT(position[p], position[v]);
+    }
   }
 }
 
@@ -323,6 +354,60 @@ TEST(BnTrainTest, EmptyColumnsRejected) {
   ASSERT_TRUE(table.Seal().ok());
   BnTrainOptions options;
   EXPECT_FALSE(BayesNetModel::Train(table, options).ok());
+}
+
+// --- Evidence-scoped inference over the paper's datasets ---------------------
+
+// The inference context freezes evidence-free messages and recomputes only
+// evidence-to-root paths; over every prefix of every workload query's
+// per-table filters it must agree bit for bit with the tree walk, which
+// recomputes everything, and its marginals must stay consistent with it.
+TEST(BnIdentityTest, EvidenceScopedInferenceMatchesTreeWalk) {
+  int64_t probes = 0;
+  for (const auto& [dataset, workload_name] :
+       {std::pair{"stats", "STATS-Hybrid"}, std::pair{"imdb", "JOB-Hybrid"},
+        std::pair{"aeolus", "AEOLUS-Online"}}) {
+    auto db = workload::GenerateDataset(dataset, 0.1, 7);
+    ASSERT_TRUE(db.ok());
+    auto workload = workload::BuildWorkload(*db.value(), workload_name, {});
+    ASSERT_TRUE(workload.ok());
+    std::map<std::string, std::unique_ptr<BayesNetModel>> models;
+    std::map<std::string, std::unique_ptr<BnInferenceContext>> contexts;
+    for (const workload::WorkloadQuery& wq : workload.value().queries) {
+      for (const minihouse::BoundTableRef& ref : wq.query.tables) {
+        const std::string& name = ref.table->name();
+        if (models.count(name) == 0) {
+          auto model = BayesNetModel::Train(*ref.table, BnTrainOptions());
+          ASSERT_TRUE(model.ok()) << name;
+          models[name] =
+              std::make_unique<BayesNetModel>(std::move(model).value());
+          contexts[name] =
+              std::make_unique<BnInferenceContext>(models[name].get());
+        }
+        const BnInferenceContext& context = *contexts[name];
+        for (size_t k = 0; k <= ref.filters.size(); ++k) {
+          const minihouse::Conjunction filters(ref.filters.begin(),
+                                               ref.filters.begin() + k);
+          const double sel = context.EstimateSelectivity(filters);
+          ++probes;
+          EXPECT_EQ(sel, context.EstimateSelectivityTreeWalk(filters))
+              << dataset << " " << name << " prefix " << k;
+          for (const BnNode& node : models[name]->nodes()) {
+            auto marginal = context.MarginalWithEvidence(filters, node.column);
+            ASSERT_TRUE(marginal.ok());
+            double sum = 0.0;
+            for (double p : marginal.value()) {
+              EXPECT_GE(p, 0.0);
+              sum += p;
+            }
+            EXPECT_LE(std::abs(sum - sel), 1e-12 * sel)
+                << dataset << " " << name << " column " << node.column;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(probes, 1000);
 }
 
 }  // namespace

@@ -70,18 +70,34 @@ TEST(ConcurrencyTest, MarginalsSafeConcurrently) {
   ASSERT_TRUE(model.ok());
   const BnInferenceContext context(&model.value());
 
-  const minihouse::Conjunction filters = {Pred(1, CompareOp::kLt, 25)};
-  auto reference = context.MarginalWithEvidence(filters, 0);
-  ASSERT_TRUE(reference.ok());
+  // Each thread probes its own conjunctions (evidence on different nodes),
+  // so every probe reuses per-thread scratch last filled with other
+  // evidence; all must match the serial answers.
+  constexpr int kThreads = 4;
+  constexpr int kProbesPerThread = 12;
+  auto conjunction = [](int t, int i) {
+    minihouse::Conjunction filters = {Pred(1, CompareOp::kLt, 5 + 3 * i)};
+    if (t % 2 == 1) filters.push_back(Pred(0, CompareOp::kLe, 10 * t + i));
+    if (t >= 2) filters.push_back(Pred(2, CompareOp::kEq, i % 5));
+    return filters;
+  };
+  std::vector<std::vector<std::vector<double>>> reference(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kProbesPerThread; ++i) {
+      auto marginal = context.MarginalWithEvidence(conjunction(t, i), t % 3);
+      ASSERT_TRUE(marginal.ok());
+      reference[t].push_back(std::move(marginal).value());
+    }
+  }
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&]() {
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
       for (int iter = 0; iter < 100; ++iter) {
-        auto marginal = context.MarginalWithEvidence(filters, 0);
-        if (!marginal.ok() ||
-            marginal.value() != reference.value()) {
+        const int i = (iter * 5 + t) % kProbesPerThread;
+        auto marginal = context.MarginalWithEvidence(conjunction(t, i), t % 3);
+        if (!marginal.ok() || marginal.value() != reference[t][i]) {
           mismatches.fetch_add(1);
         }
       }
