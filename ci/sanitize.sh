@@ -6,9 +6,11 @@
 # parallel-execution tests (thread pool, morsel-parallel
 # scans/joins/aggregation), the runtime-feedback tests (query threads racing
 # cache invalidation and drift aggregation), and the incremental-maintenance
-# tests (ingest batches racing query streams and snapshot publishes), and
-# the BN identity test (evidence-scoped inference over per-thread scratch
-# against the tree-walk reference).
+# tests (ingest batches racing query streams and snapshot publishes), the
+# BN identity test (evidence-scoped inference over per-thread scratch
+# against the tree-walk reference), and a slice of the execution oracle
+# (workload COUNT(*) queries across the engine-configuration lattice against
+# the exact truth counts).
 #
 # Usage: ci/sanitize.sh [thread|address|undefined] [build-dir]
 # BYTECARD_THREADS overrides the worker-pool sizing (default 4 here, so the
@@ -35,7 +37,8 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" \
            thread_pool_test minihouse_parallel_test minihouse_operator_test \
            cardest_request_test inference_session_test scheduler_test \
            minihouse_specialize_test minihouse_encoding_test \
-           incremental_test cardest_ndv_test routing_test cardest_bayes_test
+           incremental_test cardest_ndv_test routing_test cardest_bayes_test \
+           exec_oracle_test
 
 # halt_on_error makes a race fail the ctest run instead of just logging;
 # tsan.supp documents the known libstdc++ instrumentation gaps we ignore.
@@ -45,6 +48,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 export BYTECARD_THREADS="${BYTECARD_THREADS:-4}"
 
 ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" \
-  -R "ConcurrencyTest|BnIdentityTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|EstimatorContractTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest"
+  -R "ExecOracleTest.SliceOfEveryWorkloadMatchesTruth|ConcurrencyTest|BnIdentityTest|RobustnessTest|ThreadPoolTest|ParallelMorselsTest|ParallelScanTest|ParallelJoinTest|ParallelAggregateTest|ParallelExecutorTest|ParallelOptimizerTest|OperatorDagTest|FeedbackFingerprintTest|FeedbackLogTest|FeedbackCacheTest|DriftDetectorTest|FeedbackCaptureTest|FeedbackConcurrencyTest|FeedbackByteCardTest|RequestFingerprintTest|EstimatorContractTest|InferenceSessionTest|SessionConcurrencyTest|SchedulerTest|SchedulerConcurrencyTest|ColumnDomainTest|DenseKeyIndexTest|AggSizingTest|PredicateKernelTest|DenseAggTest|ArrayJoinTest|SpecializationIdentityTest|MisSpecializationTest|EncodedBlockTest|EncodingPropertyTest|ZoneMapTest|DecodeCacheTest|DictionarySealTest|DomainFromZoneMapTest|EncodedScanTest|IngestDeltaTest|BnDeltaTest|FjDeltaTest|IncrementalMaintainerTest|IncrementalConcurrencyTest|HllSketchTest|RoutingClassTest|RoutingTableTest|RoutingIdentityTest|RouteMinerTest|RoutingConcurrencyTest|SchedulerSqlTest"
 
 echo "sanitize(${SANITIZER}): OK"

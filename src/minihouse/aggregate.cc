@@ -166,11 +166,57 @@ void EnsureGroup(const std::vector<AggRequest>& aggs, int64_t g,
   }
 }
 
+// Keyless aggregation (no GROUP BY): every row belongs to group 0, so the
+// group is inserted once per non-empty range and each aggregate runs as a
+// column loop instead of a per-row group lookup. Sums add in row order, the
+// same order as the keyed loop, so doubles stay bitwise equal.
+void AccumulateKeylessRange(const std::vector<std::vector<int64_t>>& columns,
+                            const std::vector<AggRequest>& aggs,
+                            int64_t row_begin, int64_t row_end,
+                            PartialAgg* part) {
+  if (row_begin >= row_end) return;
+  const int64_t zero_key = 0;
+  const int64_t g = part->FindOrInsert(&zero_key);
+  EnsureGroup(aggs, g, part);
+  const int64_t n = row_end - row_begin;
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    switch (aggs[a].func) {
+      case AggFunc::kCountStar:
+      case AggFunc::kCount:
+        part->counts[a][g] += n;
+        break;
+      case AggFunc::kSum:
+      case AggFunc::kAvg: {
+        const std::vector<int64_t>& col = columns[aggs[a].input_column];
+        double sum = part->sums[a][g];
+        for (int64_t row = row_begin; row < row_end; ++row) {
+          sum += static_cast<double>(col[row]);
+        }
+        part->sums[a][g] = sum;
+        part->counts[a][g] += n;
+        break;
+      }
+      case AggFunc::kCountDistinct: {
+        const std::vector<int64_t>& col = columns[aggs[a].input_column];
+        std::unordered_set<int64_t>& seen = part->distinct[a][g];
+        for (int64_t row = row_begin; row < row_end; ++row) {
+          seen.insert(col[row]);
+        }
+        break;
+      }
+    }
+  }
+}
+
 void AccumulateRange(const std::vector<std::vector<int64_t>>& columns,
                      const std::vector<int>& key_columns,
                      const std::vector<AggRequest>& aggs, int64_t row_begin,
                      int64_t row_end, PartialAgg* part) {
-  const int key_width = std::max<int>(1, static_cast<int>(key_columns.size()));
+  if (key_columns.empty()) {
+    AccumulateKeylessRange(columns, aggs, row_begin, row_end, part);
+    return;
+  }
+  const int key_width = static_cast<int>(key_columns.size());
   std::vector<int64_t> key(key_width, 0);
   const int num_aggs = static_cast<int>(aggs.size());
 

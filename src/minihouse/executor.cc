@@ -11,11 +11,9 @@ namespace bytecard::minihouse {
 namespace {
 
 // Folds one operator's observations into the query's ExecStats, then
-// recurses. `parent` disambiguates what a join step actually ships
-// downstream: when a ProjectOp sits directly above a join, the projected
-// width — not the raw join width — is what the rest of the pipeline carries.
-void MergeOperatorStats(const PhysicalOperator* op,
-                        const PhysicalOperator* parent, ExecStats* stats) {
+// recurses. A join's values_out is already what it ships downstream: late
+// projection happens inside the join.
+void MergeOperatorStats(const PhysicalOperator* op, ExecStats* stats) {
   const OperatorStats& s = op->stats();
   stats->threads_used = std::max(stats->threads_used, s.dop_used);
   stats->parallel_tasks += s.parallel_tasks;
@@ -33,20 +31,13 @@ void MergeOperatorStats(const PhysicalOperator* op,
       stats->bytes_resident = std::max(stats->bytes_resident,
                                        s.bytes_resident);
       break;
-    case OpKind::kHashJoin: {
+    case OpKind::kHashJoin:
       if (s.specialized) ++stats->array_join_ops;
       stats->intermediate_rows += s.rows_out;
       stats->probe_rows_materialized += s.probe_rows;
-      const int64_t shipped =
-          (parent != nullptr && parent->kind() == OpKind::kProject)
-              ? parent->stats().values_out
-              : s.values_out;
-      stats->intermediate_values += shipped;
+      stats->intermediate_values += s.values_out;
       stats->peak_intermediate_values =
-          std::max(stats->peak_intermediate_values, shipped);
-      break;
-    }
-    case OpKind::kProject:
+          std::max(stats->peak_intermediate_values, s.values_out);
       stats->columns_pruned += s.columns_pruned;
       break;
     case OpKind::kAggregate:
@@ -58,7 +49,7 @@ void MergeOperatorStats(const PhysicalOperator* op,
   }
 
   for (size_t i = 0; i < op->num_children(); ++i) {
-    MergeOperatorStats(op->child(i), op, stats);
+    MergeOperatorStats(op->child(i), stats);
   }
 }
 
@@ -112,7 +103,7 @@ Result<ExecResult> ExecuteQuery(const BoundQuery& query,
   ExecResult result;
   result.agg = dag.root->TakeResult();
   ExecStats* stats = ctx->mutable_stats();
-  MergeOperatorStats(dag.root.get(), nullptr, stats);
+  MergeOperatorStats(dag.root.get(), stats);
   stats->exec_ms = timer.ElapsedMillis();
   stats->plan_ms = plan.estimation_ms;
   stats->estimator_calls = plan.estimation.estimator_calls;

@@ -1,6 +1,7 @@
 #include "minihouse/join.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -18,40 +19,54 @@ bool KeysEqual(const Relation& a, const std::vector<int>& a_keys, int64_t ra,
   return true;
 }
 
+// Copies the joined slots `slots` (indices into left's columns followed by
+// right's) of every matched row pair, in slot-list order. Names and ids ride
+// along when both inputs carry one per column.
 Relation GatherJoined(const Relation& left, const Relation& right,
                       const std::vector<int64_t>& left_rows,
-                      const std::vector<int64_t>& right_rows) {
+                      const std::vector<int64_t>& right_rows,
+                      const std::vector<int>& slots) {
+  const int left_width = left.num_columns();
+  auto named = [](const Relation& rel) {
+    return rel.column_names.size() == rel.columns.size();
+  };
+  const bool names = named(left) && named(right);
+  const bool ids = left.has_ids() && right.has_ids();
   Relation out;
-  out.column_names = left.column_names;
-  out.column_names.insert(out.column_names.end(), right.column_names.begin(),
-                          right.column_names.end());
-  if (left.has_ids() && right.has_ids()) {
-    out.column_ids = left.column_ids;
-    out.column_ids.insert(out.column_ids.end(), right.column_ids.begin(),
-                          right.column_ids.end());
-  }
-  out.columns.resize(left.columns.size() + right.columns.size());
   const size_t n = left_rows.size();
   out.rows = static_cast<int64_t>(n);
-  for (size_t c = 0; c < left.columns.size(); ++c) {
-    auto& dst = out.columns[c];
+  out.columns.resize(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const bool from_left = slots[i] < left_width;
+    const Relation& in = from_left ? left : right;
+    const int c = from_left ? slots[i] : slots[i] - left_width;
+    const std::vector<int64_t>& rows = from_left ? left_rows : right_rows;
+    if (names) out.column_names.push_back(in.column_names[c]);
+    if (ids) out.column_ids.push_back(in.column_ids[c]);
+    const auto& src = in.columns[c];
+    auto& dst = out.columns[i];
     dst.resize(n);
-    const auto& src = left.columns[c];
-    for (size_t i = 0; i < n; ++i) dst[i] = src[left_rows[i]];
-  }
-  for (size_t c = 0; c < right.columns.size(); ++c) {
-    auto& dst = out.columns[left.columns.size() + c];
-    dst.resize(n);
-    const auto& src = right.columns[c];
-    for (size_t i = 0; i < n; ++i) dst[i] = src[right_rows[i]];
+    for (size_t r = 0; r < n; ++r) dst[r] = src[rows[r]];
   }
   return out;
 }
 
-// Match lists for one contiguous range of probe rows.
+// Matches for one contiguous range of probe rows. A count-only probe only
+// counts them and leaves the row lists empty.
 struct ProbePart {
+  explicit ProbePart(bool count) : count_only(count) {}
+
+  bool count_only;
+  int64_t matches = 0;
   std::vector<int64_t> build_rows;
   std::vector<int64_t> probe_rows;
+
+  void Emit(int64_t build_row, int64_t probe_row) {
+    ++matches;
+    if (count_only) return;
+    build_rows.push_back(build_row);
+    probe_rows.push_back(probe_row);
+  }
 };
 
 void ProbeRange(const JoinHashTable& ht, const Relation& build,
@@ -62,8 +77,7 @@ void ProbeRange(const JoinHashTable& ht, const Relation& build,
     const uint64_t h = JoinHashTable::HashRowKeys(probe, probe_keys, r);
     ht.ForEachMatch(h, [&](int64_t build_row) {
       if (KeysEqual(build, build_keys, build_row, probe, probe_keys, r)) {
-        part->build_rows.push_back(build_row);
-        part->probe_rows.push_back(r);
+        part->Emit(build_row, r);
       }
     });
   }
@@ -112,8 +126,7 @@ void ArrayProbeRange(const ArrayJoinIndex& index, const Relation& probe,
     // in-domain build key), not a guard violation.
     if (idx >= width) continue;
     for (int64_t b = index.heads[idx]; b >= 0; b = index.next[b]) {
-      part->build_rows.push_back(b);
-      part->probe_rows.push_back(r);
+      part->Emit(b, r);
     }
   }
 }
@@ -159,7 +172,8 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           const std::vector<int>& right_keys, int dop,
                           JoinRunInfo* info,
                           const common::MorselPolicy& policy,
-                          const ArrayJoinSpec& spec) {
+                          const ArrayJoinSpec& spec,
+                          const std::optional<std::vector<int>>& keep_slots) {
   if (left_keys.size() != right_keys.size() || left_keys.empty()) {
     return Status::InvalidArgument("join key arity mismatch");
   }
@@ -173,6 +187,20 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
       return Status::InvalidArgument("right join key out of range");
     }
   }
+  const int joined_width = left.num_columns() + right.num_columns();
+  std::vector<int> slots;
+  if (keep_slots.has_value()) {
+    slots = *keep_slots;
+    for (int s : slots) {
+      if (s < 0 || s >= joined_width) {
+        return Status::InvalidArgument("join output slot out of range");
+      }
+    }
+  } else {
+    slots.resize(joined_width);
+    std::iota(slots.begin(), slots.end(), 0);
+  }
+  const bool count_only = slots.empty();
 
   // Build on the smaller input; the build is serial regardless of dop (build
   // sides are small by choice, and a serial build keeps the table identical
@@ -219,11 +247,13 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
   dop = static_cast<int>(
       std::clamp<int64_t>(dop, 1, std::max<int64_t>(probe_rows_total, 1)));
 
+  int64_t matches = 0;
   std::vector<int64_t> build_rows;
   std::vector<int64_t> probe_rows;
   if (dop <= 1) {
-    ProbePart part;
+    ProbePart part(count_only);
     probe_range(0, probe_rows_total, &part);
+    matches = part.matches;
     build_rows = std::move(part.build_rows);
     probe_rows = std::move(part.probe_rows);
     if (info != nullptr) {
@@ -235,19 +265,18 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
     // match vectors concatenated in partition order — identical output to a
     // serial probe because matches within a probe row are already emitted in
     // ascending build-row order.
-    std::vector<ProbePart> parts(dop);
+    std::vector<ProbePart> parts(dop, ProbePart(count_only));
     common::ParallelMorsels(common::ThreadPool::Global(), dop, dop, policy,
                             [&](int64_t p, int /*slot*/) {
       const int64_t r0 = probe_rows_total * p / dop;
       const int64_t r1 = probe_rows_total * (p + 1) / dop;
       probe_range(r0, r1, &parts[p]);
     });
-    int64_t total = 0;
-    for (const ProbePart& part : parts) {
-      total += static_cast<int64_t>(part.build_rows.size());
+    for (const ProbePart& part : parts) matches += part.matches;
+    if (!count_only) {
+      build_rows.reserve(matches);
+      probe_rows.reserve(matches);
     }
-    build_rows.reserve(total);
-    probe_rows.reserve(total);
     for (ProbePart& part : parts) {
       build_rows.insert(build_rows.end(), part.build_rows.begin(),
                         part.build_rows.end());
@@ -264,10 +293,15 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
     info->despecialized = despecialized;
   }
 
-  if (build_left) {
-    return GatherJoined(left, right, build_rows, probe_rows);
+  if (count_only) {
+    Relation out;
+    out.rows = matches;
+    return out;
   }
-  return GatherJoined(left, right, probe_rows, build_rows);
+  if (build_left) {
+    return GatherJoined(left, right, build_rows, probe_rows, slots);
+  }
+  return GatherJoined(left, right, probe_rows, build_rows, slots);
 }
 
 }  // namespace bytecard::minihouse

@@ -2,6 +2,7 @@
 #define BYTECARD_MINIHOUSE_JOIN_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,9 +82,16 @@ struct ArrayJoinSpec {
 // (left_keys[i] joins right_keys[i]; indices into each relation's columns).
 // Builds on the smaller side (always serially); with dop > 1 the probe side
 // is split into contiguous partitions probed concurrently and concatenated in
-// partition order, so output is identical at any dop. Output carries all
-// columns of both inputs. `policy` schedules the probe partitions' helper
-// tasks (the owning query's lane and morsel budget).
+// partition order, so output is identical at any dop. `policy` schedules the
+// probe partitions' helper tasks (the owning query's lane and morsel budget).
+//
+// Output layout: the joined slot space is every column of `left` followed by
+// every column of `right`. With `keep_slots` unset the output carries all of
+// them; otherwise it carries exactly the listed slots of that space, in list
+// order (late projection fused into the gather — dropped columns are never
+// copied). An empty list is a count-only join: the probe counts matches per
+// partition without recording them and returns a zero-column relation whose
+// `rows` is the join cardinality.
 //
 // `spec` (optional) swaps the hash table for an array index over the build
 // key's domain when eligible (single key, valid domain within budget).
@@ -95,7 +103,9 @@ Result<Relation> HashJoin(const Relation& left, const Relation& right,
                           const std::vector<int>& right_keys, int dop = 1,
                           JoinRunInfo* info = nullptr,
                           const common::MorselPolicy& policy = {},
-                          const ArrayJoinSpec& spec = {});
+                          const ArrayJoinSpec& spec = {},
+                          const std::optional<std::vector<int>>& keep_slots =
+                              std::nullopt);
 
 }  // namespace bytecard::minihouse
 

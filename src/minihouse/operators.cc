@@ -80,38 +80,6 @@ Result<Relation> ScanOp::Execute() {
   return rel;
 }
 
-// --- ProjectOp ---------------------------------------------------------------
-
-ProjectOp::ProjectOp(std::unique_ptr<PhysicalOperator> child,
-                     std::vector<int> keep_slots)
-    : child_(std::move(child)), keep_slots_(std::move(keep_slots)) {
-  const std::vector<ColumnId>& in = child_->output_columns();
-  output_ids_.reserve(keep_slots_.size());
-  for (int s : keep_slots_) {
-    BC_CHECK(s >= 0 && s < static_cast<int>(in.size()));
-    output_ids_.push_back(in[s]);
-  }
-}
-
-Result<Relation> ProjectOp::Execute() {
-  BC_ASSIGN_OR_RETURN(Relation in, child_->Execute());
-  Relation out;
-  out.rows = in.num_rows();  // survives even if every column is dropped
-  out.column_names.reserve(keep_slots_.size());
-  out.column_ids.reserve(keep_slots_.size());
-  out.columns.reserve(keep_slots_.size());
-  for (int s : keep_slots_) {
-    out.column_names.push_back(std::move(in.column_names[s]));
-    out.column_ids.push_back(in.column_ids[s]);
-    out.columns.push_back(std::move(in.columns[s]));
-  }
-  stats_.columns_pruned =
-      static_cast<int64_t>(in.columns.size() - keep_slots_.size());
-  stats_.rows_out = out.num_rows();
-  stats_.values_out = out.num_values();
-  return out;
-}
-
 // --- HashJoinOp --------------------------------------------------------------
 
 HashJoinOp::HashJoinOp(std::unique_ptr<PhysicalOperator> build,
@@ -127,6 +95,19 @@ HashJoinOp::HashJoinOp(std::unique_ptr<PhysicalOperator> build,
   output_ids_ = build_->output_columns();
   const std::vector<ColumnId>& right = probe_->output_columns();
   output_ids_.insert(output_ids_.end(), right.begin(), right.end());
+  joined_width_ = static_cast<int>(output_ids_.size());
+}
+
+void HashJoinOp::ProjectOutput(std::vector<int> keep_slots) {
+  BC_CHECK(!keep_slots_.has_value());
+  std::vector<ColumnId> kept;
+  kept.reserve(keep_slots.size());
+  for (int s : keep_slots) {
+    BC_CHECK(s >= 0 && s < joined_width_);
+    kept.push_back(output_ids_[s]);
+  }
+  output_ids_ = std::move(kept);
+  keep_slots_ = std::move(keep_slots);
 }
 
 void HashJoinOp::EnableSip(ScanOp* probe_scan, int probe_schema_column,
@@ -160,7 +141,8 @@ Result<Relation> HashJoinOp::Execute() {
   JoinRunInfo info;
   BC_ASSIGN_OR_RETURN(Relation out,
                       HashJoin(build, probe, build_keys_, probe_keys_, dop_,
-                               &info, ctx_->morsel_policy(), array_spec_));
+                               &info, ctx_->morsel_policy(), array_spec_,
+                               keep_slots_));
   stats_.dop_used = info.dop_used;
   stats_.parallel_tasks = info.parallel_tasks;
   // "Specialized" means the compiler's pick was attempted — a despecialized
@@ -168,6 +150,7 @@ Result<Relation> HashJoinOp::Execute() {
   // counts as an attempt, and additionally as one degraded morsel.
   stats_.specialized = info.specialized || info.despecialized;
   stats_.despecialized_morsels = info.despecialized ? 1 : 0;
+  stats_.columns_pruned = joined_width_ - out.num_columns();
   stats_.rows_out = out.num_rows();
   stats_.values_out = out.num_values();
   return out;
@@ -431,13 +414,10 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
         if (spec.enabled) join->SetArrayJoinSpec(spec);
       }
     }
-    op = std::move(join);
-    joined.insert(t);
-
     // Late projection: drop every slot whose last consumer has now run.
     if (step - 1 < keep_after.size()) {
       const std::vector<ColumnId>& needed = keep_after[step - 1];
-      const std::vector<ColumnId>& out = op->output_columns();
+      const std::vector<ColumnId>& out = join->output_columns();
       std::vector<int> keep_slots;
       keep_slots.reserve(needed.size());
       for (size_t i = 0; i < out.size(); ++i) {
@@ -446,9 +426,11 @@ Result<CompiledDag> CompileOperatorDag(const BoundQuery& query,
         }
       }
       if (keep_slots.size() < out.size()) {
-        op = std::make_unique<ProjectOp>(std::move(op), std::move(keep_slots));
+        join->ProjectOutput(std::move(keep_slots));
       }
     }
+    op = std::move(join);
+    joined.insert(t);
   }
 
   // Root aggregation: group keys and aggregate inputs resolved against the

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@ struct OperatorStats {
   int64_t rows_out = 0;          // rows this operator produced
   int64_t values_out = 0;        // rows_out x output width
   int64_t probe_rows = 0;        // joins: probe-side input rows
-  int64_t columns_pruned = 0;    // projects: slots dropped
+  int64_t columns_pruned = 0;    // joins: joined slots not shipped
   int64_t agg_resize_count = 0;  // aggregation hash-table accounting
   int64_t agg_final_capacity = 0;
   int64_t agg_merge_groups = 0;
@@ -64,7 +65,7 @@ struct FeedbackStamp {
   ReplaySpec replay;                // replayable estimation question (miner)
 };
 
-enum class OpKind { kScan, kHashJoin, kProject, kAggregate };
+enum class OpKind { kScan, kHashJoin, kAggregate };
 
 // A node of the physical operator DAG. Every node knows its children, the
 // column identity set it produces, and its degree of parallelism; Execute
@@ -139,36 +140,12 @@ class ScanOp : public PhysicalOperator {
   std::vector<std::string> output_names_;
 };
 
-// Late projection: keeps a subset of the child's slots (by moving the column
-// vectors — no copy) and drops the rest. Inserted by the compiler wherever
-// required-column analysis shows a slot's last consumer has run.
-class ProjectOp : public PhysicalOperator {
- public:
-  ProjectOp(std::unique_ptr<PhysicalOperator> child,
-            std::vector<int> keep_slots);
-
-  OpKind kind() const override { return OpKind::kProject; }
-  const char* name() const override { return "Project"; }
-  size_t num_children() const override { return 1; }
-  const PhysicalOperator* child(size_t i) const override {
-    return i == 0 ? child_.get() : nullptr;
-  }
-  const std::vector<ColumnId>& output_columns() const override {
-    return output_ids_;
-  }
-
-  Result<Relation> Execute() override;
-
- private:
-  std::unique_ptr<PhysicalOperator> child_;
-  std::vector<int> keep_slots_;  // ascending slot indices into the child
-  std::vector<ColumnId> output_ids_;
-};
-
 // Hash equi-join: left child is the accumulated build prefix, right child the
 // probe-side scan. When SIP is enabled and the build output is much smaller
 // than the probe table, the join publishes a Bloom filter of its first build
-// key into the probe ScanOp before executing it (paper §3.1.2).
+// key into the probe ScanOp before executing it (paper §3.1.2). The join also
+// owns late projection: once ProjectOutput narrows it, it gathers only the
+// slots its consumers still need, and with none left it only counts matches.
 class HashJoinOp : public PhysicalOperator {
  public:
   // `ctx` (non-null, not owned) supplies the owning query's morsel policy.
@@ -202,6 +179,11 @@ class HashJoinOp : public PhysicalOperator {
   // build pass meets an out-of-domain key).
   void SetArrayJoinSpec(ArrayJoinSpec spec) { array_spec_ = spec; }
 
+  // Late projection: ship only `keep_slots` (indices into the joined
+  // build ++ probe layout, in output order; empty = count only). Narrows
+  // output_columns() immediately; unset, the join ships every slot.
+  void ProjectOutput(std::vector<int> keep_slots);
+
   Result<Relation> Execute() override;
 
  private:
@@ -215,6 +197,8 @@ class HashJoinOp : public PhysicalOperator {
   int sip_probe_column_ = -1;
   int64_t sip_probe_table_rows_ = 0;
   ArrayJoinSpec array_spec_;
+  std::optional<std::vector<int>> keep_slots_;  // unset = every joined slot
+  int joined_width_ = 0;                        // build + probe slot count
   std::vector<ColumnId> output_ids_;
 };
 
@@ -274,8 +258,9 @@ struct CompiledDag {
 //      order (a table defers until it joins the prefix);
 //   2. builds a ScanOp per table over exactly its required columns;
 //   3. chains left-deep HashJoinOps, arming SIP per the plan;
-//   4. runs required-column analysis and inserts ProjectOps after any join
-//      step whose output carries dead columns (plan.prune_columns);
+//   4. runs required-column analysis and narrows every join step whose
+//      output would carry dead columns to the slots still needed
+//      (plan.prune_columns); a join with none left only counts;
 //   5. roots the tree with an AggregateOp resolving group keys and aggregate
 //      inputs to slots via the column-identity map.
 // All slot arithmetic happens here, at compile time — execution never looks

@@ -229,10 +229,11 @@ struct PhysicalPlan {
   int agg_dop = 1;                   // aggregation partitions
   int64_t group_ndv_hint = 0;        // 0 = no hint (engine default sizing)
   bool use_sip = true;               // sideways information passing enabled
-  // Late projection: insert ProjectOps that drop intermediate columns at
-  // their last consumer (required-column analysis). Results and I/O are
-  // identical either way; off carries every scanned column through every
-  // join, which is what the projection bench measures against.
+  // Late projection: each join ships only the columns some later operator
+  // still consumes (required-column analysis), and a join whose output no
+  // column survives only counts its matches. Results and I/O are identical
+  // either way; off carries every scanned column through every join, which
+  // is what the projection bench measures against.
   bool prune_columns = true;
   // --- Kernel specialization (DESIGN.md §11) -------------------------------
   // Master switch for estimate-driven operator kernels: the DAG compiler
@@ -323,7 +324,7 @@ std::vector<int> RequiredScanColumns(const BoundQuery& query, int table_idx);
 // [1, order.size())): group keys, aggregate inputs, and the keys of join
 // edges not yet fully consumed by the prefix order[0..s]. Entry s-1
 // corresponds to step s. A column absent from its step's set has had its
-// last consumer run and can be dropped by a ProjectOp.
+// last consumer run, so the join at that step does not ship it.
 std::vector<std::vector<ColumnId>> RequiredColumnsAfterJoin(
     const BoundQuery& query, const std::vector<int>& order);
 

@@ -22,9 +22,9 @@ struct ExecStats {
   // Rows materialized by probe-side scans (what SIP prunes).
   int64_t probe_rows_materialized = 0;
   // Late-projection accounting. intermediate_values sums, over join steps,
-  // rows x width of what actually flows downstream (after any ProjectOp);
-  // peak_intermediate_values is the largest single step. columns_pruned
-  // counts slots dropped by ProjectOps across the query.
+  // rows x width of what each join actually ships downstream (after its
+  // late projection); peak_intermediate_values is the largest single step.
+  // columns_pruned counts joined slots the joins did not ship.
   int64_t intermediate_values = 0;
   int64_t peak_intermediate_values = 0;
   int64_t columns_pruned = 0;

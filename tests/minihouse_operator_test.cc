@@ -134,31 +134,31 @@ TEST(OperatorDagTest, CompilesProjectionsAtColumnDeathPoints) {
                          &qctx);
   ASSERT_TRUE(dag.ok()) << dag.status().ToString();
 
-  // Aggregate -> Project -> HashJoin -> {Project -> HashJoin -> {Scan, Scan},
-  // Scan}: one projection after each join step.
+  // Aggregate -> HashJoin -> {HashJoin -> {Scan, Scan}, Scan}: each join
+  // ships only the slots still needed after it.
   const PhysicalOperator* root = dag.value().root.get();
   ASSERT_EQ(root->kind(), OpKind::kAggregate);
   // Output identity of the root: the group key.
   ASSERT_EQ(root->output_columns().size(), 1u);
   EXPECT_EQ(root->output_columns()[0], (ColumnId{1, 1}));
 
-  const PhysicalOperator* proj2 = root->child(0);
-  ASSERT_EQ(proj2->kind(), OpKind::kProject);
-  EXPECT_EQ(proj2->output_columns().size(), 2u);  // fact.value, dim.category
-
-  const PhysicalOperator* join2 = proj2->child(0);
+  const PhysicalOperator* join2 = root->child(0);
   ASSERT_EQ(join2->kind(), OpKind::kHashJoin);
   ASSERT_EQ(join2->num_children(), 2u);
   EXPECT_EQ(join2->child(1)->kind(), OpKind::kScan);
+  // After the item join only the aggregation's inputs ship, in joined-slot
+  // order: fact.value, dim.category.
+  EXPECT_EQ(join2->output_columns(),
+            (std::vector<ColumnId>{{0, 1}, {1, 1}}));
 
-  const PhysicalOperator* proj1 = join2->child(0);
-  ASSERT_EQ(proj1->kind(), OpKind::kProject);
-  EXPECT_EQ(proj1->output_columns().size(), 3u);
-
-  const PhysicalOperator* join1 = proj1->child(0);
+  const PhysicalOperator* join1 = join2->child(0);
   ASSERT_EQ(join1->kind(), OpKind::kHashJoin);
   EXPECT_EQ(join1->child(0)->kind(), OpKind::kScan);
   EXPECT_EQ(join1->child(1)->kind(), OpKind::kScan);
+  // After the dim join its keys are dead: fact.value, fact.bucket (pending
+  // item edge) and dim.category ship.
+  EXPECT_EQ(join1->output_columns(),
+            (std::vector<ColumnId>{{0, 1}, {0, 2}, {1, 1}}));
 }
 
 TEST(OperatorDagTest, NoProjectionsWhenPruningDisabled) {
@@ -170,11 +170,17 @@ TEST(OperatorDagTest, NoProjectionsWhenPruningDisabled) {
                                          /*sip=*/true, /*dop=*/1),
                          &qctx);
   ASSERT_TRUE(dag.ok());
-  const PhysicalOperator* op = dag.value().root.get();
-  while (op != nullptr) {
-    EXPECT_NE(op->kind(), OpKind::kProject);
-    op = op->child(0);
+  // Every join ships its full width: build columns then probe columns.
+  int joins = 0;
+  for (const PhysicalOperator* op = dag.value().root->child(0);
+       op->kind() == OpKind::kHashJoin; op = op->child(0)) {
+    std::vector<ColumnId> full = op->child(0)->output_columns();
+    const std::vector<ColumnId>& probe = op->child(1)->output_columns();
+    full.insert(full.end(), probe.begin(), probe.end());
+    EXPECT_EQ(op->output_columns(), full);
+    ++joins;
   }
+  EXPECT_EQ(joins, 2);
 }
 
 TEST(OperatorDagTest, RejectsDisconnectedJoinGraph) {

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -222,6 +225,113 @@ TEST(ParallelJoinTest, MultiKeyParallelProbeIdenticalToSerial) {
   EXPECT_EQ(parallel.value().columns, serial.value().columns);
 }
 
+// Duplicate-heavy single-key join inputs over the narrow domain [0, 63], so
+// both the hash table and the array index can build on either side.
+std::pair<Relation, Relation> ProjectionJoinInputs() {
+  std::vector<int64_t> lk, lp, rk, rq, rp;
+  for (int64_t i = 0; i < 300; ++i) {
+    lk.push_back((i * 7) % 50);
+    lp.push_back(1000 + i);
+  }
+  for (int64_t i = 0; i < 5000; ++i) {
+    rk.push_back((i * 13) % 64);
+    rq.push_back(i % 9);
+    rp.push_back(-i);
+  }
+  return {MakeRelation({"l.k", "l.p"}, {std::move(lk), std::move(lp)}),
+          MakeRelation({"r.k", "r.q", "r.p"},
+                       {std::move(rk), std::move(rq), std::move(rp)})};
+}
+
+// The generic hash path, and the array-index path over the keys' domain.
+std::vector<ArrayJoinSpec> JoinPaths() {
+  ArrayJoinSpec array;
+  array.enabled = true;
+  array.left_min = array.right_min = 0;
+  array.left_max = array.right_max = 63;
+  array.budget = 1 << 10;
+  return {ArrayJoinSpec{}, array};
+}
+
+TEST(ParallelJoinTest, CountOnlyJoinReturnsFullCardinalityAndNoColumns) {
+  const auto [left, right] = ProjectionJoinInputs();
+  for (const ArrayJoinSpec& spec : JoinPaths()) {
+    // Both argument orders, so the build side is left once and right once.
+    for (bool swap : {false, true}) {
+      const Relation& a = swap ? right : left;
+      const Relation& b = swap ? left : right;
+      for (int dop : {1, 2, 4}) {
+        JoinRunInfo full_info;
+        JoinRunInfo count_info;
+        auto full = HashJoin(a, b, {0}, {0}, dop, &full_info, {}, spec);
+        auto counted = HashJoin(a, b, {0}, {0}, dop, &count_info, {}, spec,
+                                std::vector<int>{});
+        ASSERT_TRUE(full.ok());
+        ASSERT_TRUE(counted.ok());
+        EXPECT_GT(full.value().num_rows(), 0);
+        EXPECT_EQ(counted.value().num_rows(), full.value().num_rows())
+            << "array " << spec.enabled << " swap " << swap << " dop " << dop;
+        EXPECT_EQ(counted.value().num_columns(), 0);
+        EXPECT_TRUE(counted.value().column_names.empty());
+        EXPECT_EQ(count_info.specialized, spec.enabled);
+        EXPECT_EQ(count_info.dop_used, full_info.dop_used);
+        EXPECT_EQ(count_info.parallel_tasks, full_info.parallel_tasks);
+      }
+    }
+  }
+}
+
+TEST(ParallelJoinTest, CountOnlyJoinWithNoMatchesCountsZero) {
+  const Relation left = MakeRelation({"l.k"}, {{1, 2, 3}});
+  const Relation right = MakeRelation({"r.k"}, {{7, 8, 9, 10}});
+  for (const ArrayJoinSpec& spec : JoinPaths()) {
+    for (int dop : {1, 2, 4}) {
+      auto counted = HashJoin(left, right, {0}, {0}, dop, nullptr, {}, spec,
+                              std::vector<int>{});
+      ASSERT_TRUE(counted.ok());
+      EXPECT_EQ(counted.value().num_rows(), 0);
+      EXPECT_EQ(counted.value().num_columns(), 0);
+    }
+  }
+}
+
+TEST(ParallelJoinTest, ProjectedJoinGathersKeptSlotsInKeepOrder) {
+  const auto [left, right] = ProjectionJoinInputs();
+  // Joined slots: 0 l.k, 1 l.p, 2 r.k, 3 r.q, 4 r.p.
+  const std::vector<std::vector<int>> keeps = {{1, 3}, {4, 0}, {2}, {3, 1, 4}};
+  for (const ArrayJoinSpec& spec : JoinPaths()) {
+    for (int dop : {1, 2, 4}) {
+      auto full = HashJoin(left, right, {0}, {0}, dop, nullptr, {}, spec);
+      ASSERT_TRUE(full.ok());
+      for (const std::vector<int>& keep : keeps) {
+        auto projected =
+            HashJoin(left, right, {0}, {0}, dop, nullptr, {}, spec, keep);
+        ASSERT_TRUE(projected.ok());
+        const Relation& p = projected.value();
+        EXPECT_EQ(p.num_rows(), full.value().num_rows());
+        ASSERT_EQ(p.num_columns(), static_cast<int>(keep.size()));
+        ASSERT_EQ(p.column_names.size(), keep.size());
+        for (size_t i = 0; i < keep.size(); ++i) {
+          EXPECT_EQ(p.column_names[i], full.value().column_names[keep[i]]);
+          EXPECT_EQ(p.columns[i], full.value().columns[keep[i]])
+              << "slot " << keep[i] << " array " << spec.enabled << " dop "
+              << dop;
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelJoinTest, ProjectedJoinRejectsOutOfRangeSlots) {
+  const auto [left, right] = ProjectionJoinInputs();
+  EXPECT_FALSE(HashJoin(left, right, {0}, {0}, 1, nullptr, {}, {},
+                        std::vector<int>{5})
+                   .ok());
+  EXPECT_FALSE(HashJoin(left, right, {0}, {0}, 1, nullptr, {}, {},
+                        std::vector<int>{-1})
+                   .ok());
+}
+
 // --- Aggregation -----------------------------------------------------------
 
 // Wraps bare columns as a nameless Relation (aggregation input).
@@ -287,6 +397,71 @@ TEST(ParallelAggregateTest, NdvHintPresizesEveryPartition) {
   const AggregateResult unhinted = HashAggregate(AggInput(columns), {0}, aggs, 0, 4);
   EXPECT_EQ(unhinted.num_groups, 1000);
   EXPECT_GT(unhinted.resize_count, 0);
+}
+
+TEST(ParallelAggregateTest, KeylessAggregatesMatchPerRowLoop) {
+  const std::vector<AggRequest> aggs = {{AggFunc::kCountStar, -1},
+                                        {AggFunc::kSum, 0},
+                                        {AggFunc::kAvg, 0},
+                                        {AggFunc::kCountDistinct, 1}};
+  for (int64_t n : {0, 1, 10007}) {
+    // Large-magnitude measures: a double sum of them depends on the order
+    // of addition, so bitwise equality pins the per-row order.
+    std::vector<std::vector<int64_t>> columns(2);
+    for (int64_t i = 0; i < n; ++i) {
+      columns[0].push_back(static_cast<int64_t>(
+          (static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL) >> 3) - (1LL << 59));
+      columns[1].push_back(i % 97);
+    }
+    for (int dop : {1, 2, 4}) {
+      const AggregateResult r = HashAggregate(AggInput(columns), {}, aggs, 0,
+                                              dop);
+      if (n == 0) {
+        EXPECT_EQ(r.num_groups, 0) << "dop " << dop;
+        for (const auto& values : r.agg_values) EXPECT_TRUE(values.empty());
+        continue;
+      }
+      // Reference: a per-row loop over each partition range (the engine's
+      // split), partitions folded in order.
+      const int parts = static_cast<int>(std::min<int64_t>(dop, n));
+      double sum = 0.0;
+      std::set<int64_t> distinct;
+      for (int p = 0; p < parts; ++p) {
+        double part_sum = 0.0;
+        for (int64_t row = n * p / parts; row < n * (p + 1) / parts; ++row) {
+          part_sum += static_cast<double>(columns[0][row]);
+          distinct.insert(columns[1][row]);
+        }
+        sum = parts == 1 ? part_sum : sum + part_sum;
+      }
+      ASSERT_EQ(r.num_groups, 1) << "n " << n << " dop " << dop;
+      EXPECT_TRUE(r.group_keys.empty());
+      EXPECT_EQ(r.agg_values[0][0], static_cast<double>(n));
+      EXPECT_EQ(std::bit_cast<uint64_t>(r.agg_values[1][0]),
+                std::bit_cast<uint64_t>(sum))
+          << "n " << n << " dop " << dop;
+      EXPECT_EQ(std::bit_cast<uint64_t>(r.agg_values[2][0]),
+                std::bit_cast<uint64_t>(sum / static_cast<double>(n)));
+      EXPECT_EQ(r.agg_values[3][0], static_cast<double>(distinct.size()));
+      EXPECT_EQ(r.resize_count, 0);
+    }
+  }
+}
+
+TEST(ParallelAggregateTest, KeylessCountOfZeroColumnRelation) {
+  // A count-only join's output: no columns, only a row count.
+  Relation counted;
+  counted.rows = 12345;
+  for (int dop : {1, 2, 4}) {
+    const AggregateResult r =
+        HashAggregate(counted, {}, {{AggFunc::kCountStar, -1}}, 0, dop);
+    ASSERT_EQ(r.num_groups, 1);
+    EXPECT_EQ(r.agg_values[0][0], 12345.0);
+  }
+  counted.rows = 0;
+  EXPECT_EQ(HashAggregate(counted, {}, {{AggFunc::kCountStar, -1}}, 0, 4)
+                .num_groups,
+            0);
 }
 
 // --- End-to-end executor ---------------------------------------------------
